@@ -13,14 +13,16 @@ cocycle equation written multiplicatively is a_ijk a_ikl =
 sigma^{eps_ij}(a_jkl) a_ijl, the quadruple-overlap identity of lifting
 obstructions.
 
-Cohomology over the integers is computed by Smith normal form in exact
-arithmetic; mod-n coefficients go through an exact lattice quotient, and
-real coefficients through floating ranks.  Circle-valued (R/Z) classes are
-handled by the Bockstein route: lift to [0,1), take the coboundary, read
-off an integer cocycle (the twisted Dixmier-Douady construction).
+Cohomology over the integers, mod n and the reals is read off the integer
+invariant factors of the coboundaries in exact arithmetic (universal
+coefficients for mod n; the Smith rank for reals).  Circle-valued (R/Z)
+classes are handled by the Bockstein route: lift to [0,1), take the
+coboundary, read off an integer cocycle (the twisted Dixmier-Douady
+construction).
 """
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 import numpy as np
@@ -104,6 +106,16 @@ class TwistedLocalSystem:
         if key not in self._cache:
             self._cache[key] = _snf.smith_normal_form(
                 self.delta_matrix(k), ncols=self.nerve.count(k))
+        return self._cache[key]
+
+    def delta_invariants(self, k):
+        """Nonzero invariant factors of d_k, read off a cached Smith form
+        when there is one and computed without transforms otherwise."""
+        key = ("invariants", k)
+        if key not in self._cache:
+            snf = self._cache.get(("snf", k))
+            self._cache[key] = tuple(snf.diag if snf is not None
+                                     else _snf.invariant_factors(self.delta_matrix(k)))
         return self._cache[key]
 
     def delta_snf_mod(self, k):
@@ -219,12 +231,17 @@ class CohomologyGroup:
 
 
 def cohomology(sys, k):
-    """H^k of the twisted system, by exact Smith normal form.
+    """H^k of the twisted system, from the invariant factors of d_{k-1}
+    and d_k (exact integer arithmetic for every ring).
 
-    Integers: (free rank, torsion invariants).  Mod n: invariant factors
-    of the finite module (for prime n just count them for the dimension).
-    Reals: dimension.  Circle coefficients are unsupported here; use the
-    Bockstein route instead.
+    With c_k the number of k-simplices and r_j the rank of d_j, the free
+    rank is c_k - r_k - r_{k-1}.  Integers: that free rank and the factors
+    of d_{k-1} above 1.  Reals: that free rank as the dimension.  Mod n,
+    by universal coefficients (Hatcher, Algebraic Topology, Thm 3A.3):
+    (Z/n)^free plus Z/gcd(d, n) for every factor d of d_{k-1} (the
+    cokernel part) and of d_k (the kernel part), in invariant-factor form
+    (for prime n just count them for the dimension).  Circle coefficients
+    are unsupported here; use the Bockstein route instead.
     """
     kind = sys.coeff.kind
     if kind == CIRCLE:
@@ -233,67 +250,18 @@ def cohomology(sys, k):
     n_k = sys.nerve.count(k)
     if n_k == 0:
         return CohomologyGroup(0, (), kind)
+    out = sys.delta_invariants(k)
+    into = sys.delta_invariants(k - 1) if k else ()
+    free = n_k - len(out) - len(into)
     if kind == INTEGERS:
-        rank_out = sys.delta_snf(k).rank
-        if k == 0:
-            rank_in, torsion = 0, ()
-        else:
-            s = sys.delta_snf(k - 1)
-            rank_in = s.rank
-            torsion = tuple(d for d in s.diag if d > 1)
-        return CohomologyGroup(n_k - rank_out - rank_in, torsion, kind)
+        return CohomologyGroup(free, tuple(d for d in into if d > 1), kind)
     if kind == REALS:
-        rank_out = _real_rank(sys.delta_matrix(k))
-        rank_in = _real_rank(sys.delta_matrix(k - 1)) if k else 0
-        return CohomologyGroup(n_k - rank_out - rank_in, (), kind)
-    return _cohomology_mod(sys, k)
-
-
-def _real_rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    return int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
-
-
-def _cohomology_mod(sys, k):
-    """ker(d_k mod n) / im(d_{k-1} mod n) as a finite abelian group.
-
-    The kernel lattice K = {x : d_k x = 0 mod n} contains n Z^c, so it has
-    full rank; relations are the columns of d_{k-1} together with n e_i.
-    Expressing relations in a basis of K reduces the quotient to one more
-    Smith form.
-    """
+        return CohomologyGroup(free, (), kind)
     n = sys.coeff.modulus
-    c = sys.nerve.count(k)
-    delta_k = sys.delta_matrix(k)
-    # generators of K: project the integer kernel of [d_k | n I] onto x
-    if delta_k:
-        rows = [list(row) for row in delta_k]
-        nrows = len(rows)
-        for i, row in enumerate(rows):
-            row.extend(n if j == i else 0 for j in range(nrows))
-        gens = [vec[:c] for vec in _snf.kernel_basis(_snf.smith_normal_form(rows))]
-    else:
-        gens = [[1 if j == i else 0 for j in range(c)] for i in range(c)]
-    basis = _snf.lattice_basis(gens, c)
-    if len(basis) != c:
-        raise AssertionError("mod-n kernel lattice must have full rank")
-    basis_snf = _snf.smith_normal_form([[b[r] for b in basis] for r in range(c)])
-    relations = [[n if j == i else 0 for j in range(c)] for i in range(c)]
-    if k > 0:
-        dm1 = sys.delta_matrix(k - 1)
-        for j in range(len(dm1[0]) if dm1 else 0):
-            relations.append([row[j] for row in dm1])
-    rel_coords = []
-    for r in relations:
-        z = _snf.solve(basis_snf, r)
-        if z is None:
-            raise AssertionError("relation escaped the kernel lattice")
-        rel_coords.append(z[:c])
-    quot = _snf.smith_normal_form([[rc[i] for rc in rel_coords] for i in range(c)])
-    if quot.rank != c:
-        raise AssertionError("mod-n cohomology module must be finite")
-    torsion = tuple(d for d in quot.diag if d > 1)
+    orders = [d for d in [n] * free + [gcd(f, n) for f in into + out] if d > 1]
+    diagonal = [[d if j == i else 0 for j in range(len(orders))]
+                for i, d in enumerate(orders)]
+    torsion = tuple(d for d in _snf.invariant_factors(diagonal) if d > 1)
     return CohomologyGroup(0, torsion, MOD)
 
 

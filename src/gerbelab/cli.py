@@ -241,16 +241,22 @@ def cmd_chern(args):
     return 0
 
 
+def _check(condition, message=""):
+    """A verify-suite invariant; unlike ``assert`` it also holds under -O."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def _suite_nerve(rng):
     for _ in range(20):
         n = nerve_mod.random_nerve(rng)
         for k in range(1, 5):
             for s in n.simplices[k]:
                 for f in nerve_mod.faces(s):
-                    assert f in n.simplices[k - 1], "downward closure violated"
+                    _check(f in n.simplices[k - 1], "downward closure violated")
     for dim in range(4):
         sphere = models.boundary_simplex(dim)
-        assert sphere.euler_characteristic() == 1 + (-1) ** dim
+        _check(sphere.euler_characteristic() == 1 + (-1) ** dim)
     return "downward closure + Euler characteristics"
 
 
@@ -264,10 +270,10 @@ def _suite_cech(rng):
         k = int(rng.integers(0, 3))
         c = cech.random_cochain(sys_, k, rng)
         dd = cech.coboundary(cech.coboundary(c, sys_), sys_)
-        assert all(v == 0 for v in dd.values), "delta o delta != 0"
+        _check(all(v == 0 for v in dd.values), "delta o delta != 0")
     sysm = models.circle_mobius_system()
-    assert cech.cohomology(sysm, 0).describe() == "free 0, torsion []"
-    assert cech.cohomology(sysm, 1).describe() == "free 0, torsion [2]"
+    _check(cech.cohomology(sysm, 0).describe() == "free 0, torsion []")
+    _check(cech.cohomology(sysm, 1).describe() == "free 0, torsion [2]")
     return "delta o delta = 0 + circle Mobius groups"
 
 
@@ -295,16 +301,16 @@ def _suite_coeffs(rng):
     z3 = FiniteGroup.cyclic(3)
     neg = Automorphism.negation(z3)
     s3 = semidirect_group(z3, neg)
-    assert s3.order == 6
+    _check(s3.order == 6)
     for _ in range(50):
         a = SemidirectElement(int(rng.integers(3)), -1 if rng.integers(2) else 1)
         b = SemidirectElement(int(rng.integers(3)), -1 if rng.integers(2) else 1)
         c = SemidirectElement(int(rng.integers(3)), -1 if rng.integers(2) else 1)
         lhs = semidirect_mul(semidirect_mul(a, b, neg), c, neg)
         rhs = semidirect_mul(a, semidirect_mul(b, c, neg), neg)
-        assert lhs == rhs, "semidirect product not associative"
-    assert verify_extension(cyclic_central_extension(2, 2)).ok
-    assert verify_extension(cyclic_central_extension(3, 3, twist="negation")).ok
+        _check(lhs == rhs, "semidirect product not associative")
+    _check(verify_extension(cyclic_central_extension(2, 2)).ok)
+    _check(verify_extension(cyclic_central_extension(3, 3, twist="negation")).ok)
     return "semidirect associativity + extension laws"
 
 
@@ -320,7 +326,7 @@ def _suite_lifting(rng):
                                 list(g.values))
     result = lifting.obstruction(td, ext)
     fixed = lifting.trivialize(result)
-    assert fixed.trivial, "coboundary transition must trivialize"
+    _check(fixed.trivial, "coboundary transition must trivialize")
     return "sphere lifting round-trip"
 
 
@@ -330,19 +336,19 @@ def _suite_schwinger(rng):
         Y = schwinger.LoopPolynomial.random(rng, 2, 3)
         Z = schwinger.LoopPolynomial.random(rng, 2, 3)
         scale = schwinger.loop_scale(X, Y, Z)
-        assert abs(schwinger.schwinger_trace(X, Y, 3)
-                   - schwinger.schwinger_residue(X, Y)) <= 1e-10 * scale
-        assert schwinger.cocycle_identity_defect(X, Y, Z) <= 1e-10 * scale
-        assert schwinger.dirac_defect(X, 6).interior_deviation <= 1e-12
+        _check(abs(schwinger.schwinger_trace(X, Y, 3)
+                   - schwinger.schwinger_residue(X, Y)) <= 1e-10 * scale)
+        _check(schwinger.cocycle_identity_defect(X, Y, Z) <= 1e-10 * scale)
+        _check(schwinger.dirac_defect(X, 6).interior_deviation <= 1e-12)
     return "trace=residue + cocycle identity + Dirac defect"
 
 
 def _suite_connection(rng):
     data = connection.two_chart_sphere(1, resolution=120)
-    assert data.partition_report()[1]
-    assert data.transition_report()[1]
+    _check(data.partition_report()[1])
+    _check(data.transition_report()[1])
     value = connection.chern_number(data)
-    assert abs(value - 1.0) <= 5e-3, f"coarse chern estimate {value} too far"
+    _check(abs(value - 1.0) <= 5e-3, f"coarse chern estimate {value} too far")
     return "sphere bundle sanity + coarse Chern"
 
 

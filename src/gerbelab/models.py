@@ -55,7 +55,8 @@ def ordered_product(a: Nerve, b: Nerve) -> Nerve:
     are the monotone chains in the componentwise order whose projections
     are simplices of the factors; the maximal such chains (staircases over
     pairs of factor simplices) are fed to build_nerve, whose closure
-    recovers every chain.
+    recovers every chain.  A product of total dimension above 4 raises
+    DimensionTooLarge.
     """
     nb = b.vertex_count
 
@@ -63,12 +64,10 @@ def ordered_product(a: Nerve, b: Nerve) -> Nerve:
         return u * nb + v
 
     maximal = []
-    for p in range(len(a.simplices)):
-        for q in range(len(b.simplices)):
-            if p + q + 1 > 4:
-                continue
-            for sa in a.simplices[p]:
-                for sb in b.simplices[q]:
+    for level_a in a.simplices:
+        for level_b in b.simplices:
+            for sa in level_a:
+                for sb in level_b:
                     maximal.extend(_staircases(sa, sb, enc))
     return build_nerve(maximal, vertex_count=a.vertex_count * nb)
 

@@ -4,8 +4,13 @@ Smith normal form with unimodular transforms, integer linear solving,
 kernel and lattice bases, and image-membership certificates.  Matrices are
 lists of lists of Python ints; sizes here are nerve-sized (a few hundred),
 so clarity and exactness win over asymptotics.
+
+``invariant_factors`` is the transform-free route for when only the
+invariants are wanted (cohomology groups): sparse rows, +-1 pivots first,
+and the dense Smith form only for the small block left without a unit.
 """
 
+from heapq import heappop, heappush
 from math import gcd
 
 
@@ -207,6 +212,64 @@ def _apply_2x2_cols(m, t, nrows, ncols, i, j, v):
         vi, vj = t[r][i], t[r][j]
         t[r][i] = vi * a11 + vj * a21
         t[r][j] = vi * a12 + vj * a22
+
+
+def invariant_factors(matrix):
+    """Nonzero invariant factors of an integer matrix, d_i | d_{i+1}.
+
+    The same list as ``smith_normal_form(matrix).diag``, without building
+    transforms.  Rows are sparse {col: val} dicts.  A +-1 entry is a unit
+    pivot: clearing its column by row operations and its row by column
+    operations leaves the Schur complement and one invariant factor 1.
+    Pivots come from the shortest row first and, within it, from the unit
+    in the sparsest column, which keeps fill-in low.  The block left with
+    no unit entry goes to the dense Smith form.
+    """
+    rows, cols = {}, {}
+    for i, row in enumerate(matrix):
+        sparse = {j: int(v) for j, v in enumerate(row) if v}
+        if sparse:
+            rows[i] = sparse
+            for j in sparse:
+                cols.setdefault(j, set()).add(i)
+    heap = sorted((len(r), i) for i, r in rows.items())
+    units = 0
+    while heap:
+        length, i = heappop(heap)
+        row = rows.get(i)
+        if row is None or len(row) != length:
+            continue  # stale: eliminated or changed since it was pushed
+        unit_cols = [j for j, v in row.items() if v == 1 or v == -1]
+        if not unit_cols:
+            continue  # pushed again if a later elimination changes it
+        j = min(unit_cols, key=lambda c: len(cols[c]))
+        p = row[j]
+        del rows[i]
+        for c in row:
+            cols[c].discard(i)
+        for t in list(cols[j]):
+            target = rows[t]
+            q = target[j] * p  # p = +-1, so dividing by p is multiplying
+            for c, v in row.items():
+                w = target.get(c, 0) - q * v
+                if w:
+                    if c not in target:
+                        cols[c].add(t)
+                    target[c] = w
+                else:
+                    del target[c]
+                    cols[c].discard(t)
+            if target:
+                heappush(heap, (len(target), t))
+            else:
+                del rows[t]
+        del cols[j]
+        units += 1
+    if not rows:
+        return [1] * units
+    used = sorted({c for r in rows.values() for c in r})
+    block = [[r.get(c, 0) for c in used] for r in rows.values()]
+    return [1] * units + smith_normal_form(block).diag
 
 
 def matvec(matrix, vec):

@@ -3,11 +3,13 @@
 Everything here is deliberately written along a different path from the
 package code: coboundary matrices are assembled by direct subset
 enumeration, Smith invariants come from sympy, mod-p dimensions from a
-plain Gaussian elimination, Toeplitz blocks from a double loop over mode
-pairs, and the untwisted lifting obstruction from a from-scratch formula.
+plain Gaussian elimination, product cohomology from the Kuenneth formula,
+Toeplitz blocks from a double loop over mode pairs, and the untwisted
+lifting obstruction from a from-scratch formula.
 """
 
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 from sympy import Matrix, ZZ
@@ -94,6 +96,65 @@ def gf2_rank(matrix):
         if rank == rows:
             break
     return rank
+
+
+def gfp_rank(matrix, p):
+    """Rank over GF(p), p prime, by Gaussian elimination with inverses."""
+    m = [[int(x) % p for x in row] for row in np.array(matrix, dtype=np.int64).tolist()]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def modp_cohomology_dim(nerve, k, p, eps=None, negate=True):
+    """dim H^k over GF(p) of the twisted complex, by GF(p) ranks."""
+    levels = simplex_lists(nerve)
+    n_k = len(levels[k]) if k < len(levels) else 0
+    if n_k == 0:
+        return 0
+    rank_out = gfp_rank(coboundary_matrix(nerve, k, eps, negate), p)
+    rank_in = gfp_rank(coboundary_matrix(nerve, k - 1, eps, negate), p) if k else 0
+    return n_k - rank_out - rank_in
+
+
+def invariant_form(orders):
+    """Invariant factors > 1 of a direct sum of cyclic groups Z/m (sympy)."""
+    orders = [m for m in orders if m > 1]
+    return integer_invariants(np.diag(orders))[1] if orders else []
+
+
+def kunneth(ha, hb, top=4):
+    """H^n(X x Y; Z) for n <= top from the factors' (free, torsion) lists.
+
+    H^n = sum_{i+j=n} H^i(X) (x) H^j(Y) + sum_{i+j=n+1} Tor(H^i(X), H^j(Y))
+    (Hatcher, Thm 3B.6), with Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).
+    Torsion comes back in invariant-factor form.
+    """
+    out = []
+    for n in range(top + 1):
+        free, cyclic = 0, []
+        for i, (fa, ta) in enumerate(ha):
+            for j, (fb, tb) in enumerate(hb):
+                if i + j == n:
+                    free += fa * fb
+                    cyclic += list(ta) * fb + list(tb) * fa
+                    cyclic += [gcd(a, b) for a in ta for b in tb]
+                elif i + j == n + 1:
+                    cyclic += [gcd(a, b) for a in ta for b in tb]
+        out.append((free, invariant_form(cyclic)))
+    return out
 
 
 def mod2_cohomology_dim(nerve, k, eps=None):

@@ -12,7 +12,8 @@ from gerbelab.coeffs import CoefficientGroup
 from gerbelab.errors import (DegreeOverflow, NotACocycle, NotU1Cocycle,
                              UnsupportedCoefficient)
 from gerbelab.nerve import build_nerve, random_nerve
-from oracles import integer_cohomology, mod2_cohomology_dim
+from oracles import (integer_cohomology, kunneth, mod2_cohomology_dim,
+                     modp_cohomology_dim)
 
 Z = CoefficientGroup.integers()
 ZNEG = CoefficientGroup.integers(involution="negation")
@@ -175,6 +176,66 @@ def test_mod4_cohomology_group_structure():
     sys_ = models.circle_mobius_system().with_coefficients(
         CoefficientGroup.integers_mod(4, involution="negation"))
     assert cohomology(sys_, 1).torsion == (2,)
+
+
+def test_mod3_cohomology_matches_gfp_oracle():
+    rng = np.random.default_rng(37)
+    mod3 = CoefficientGroup.integers_mod(3, involution="negation")
+    cases = [(models.circle_nerve(), models.mobius_twist())]
+    cases += [(nerve, random_twist(nerve, rng))
+              for nerve in (random_nerve(rng) for _ in range(15))]
+    for nerve, eps in cases:
+        sys_ = TwistedLocalSystem(nerve, mod3, eps)
+        for k in range(4):
+            assert cohomology(sys_, k).dimension == \
+                modp_cohomology_dim(nerve, k, 3, eps=eps), (nerve, eps, k)
+
+
+def test_mod6_is_crt_of_mod2_and_mod3():
+    rng = np.random.default_rng(41)
+    cases = [(models.circle_nerve(), models.mobius_twist()),
+             (models.rp2_cross_circle(), {})]
+    cases += [(nerve, random_twist(nerve, rng))
+              for nerve in (random_nerve(rng) for _ in range(10))]
+    for nerve, eps in cases:
+        groups = {}
+        for n in (2, 3, 6):
+            sys_ = TwistedLocalSystem(
+                nerve, CoefficientGroup.integers_mod(n, involution="negation"), eps)
+            groups[n] = [cohomology(sys_, k).torsion for k in range(4)]
+        for t2, t3, t6 in zip(groups[2], groups[3], groups[6]):
+            assert set(t2) <= {2} and set(t3) <= {3}
+            # Z/6 = Z/2 + Z/3: pair a 2 with a 3 into a 6 while both last
+            both = min(len(t2), len(t3))
+            rest = [2] * (len(t2) - both) + [3] * (len(t3) - both)
+            assert t6 == tuple(rest) + (6,) * both, (nerve, eps)
+
+
+# --- four-dimensional products ----------------------------------------------
+
+def mod2_betti(groups):
+    """Universal coefficients: dim H^k(Z/2) = free rank of H^k plus the
+    even torsion factors of H^k and of H^{k+1}."""
+    even = [sum(1 for t in torsion if t % 2 == 0) for _, torsion in groups] + [0]
+    return [free + even[k] + even[k + 1] for k, (free, _) in enumerate(groups)]
+
+
+@pytest.mark.parametrize("a, b", [
+    (models.boundary_simplex(2), models.boundary_simplex(2)),
+    (models.rp2_nerve(), models.rp2_nerve()),
+    (models.boundary_simplex(3), models.circle_nerve()),
+], ids=["S2xS2", "RP2xRP2", "S3xS1"])
+def test_product_cohomology_matches_kunneth(a, b):
+    product = models.ordered_product(a, b)
+    ha = [integer_cohomology(a, k) for k in range(5)]
+    hb = [integer_cohomology(b, k) for k in range(5)]
+    sys_z = TwistedLocalSystem(product, Z)
+    got = [cohomology(sys_z, k) for k in range(5)]
+    assert [(g.free_rank, list(g.torsion)) for g in got] == kunneth(ha, hb)
+    pa, pb = mod2_betti(ha), mod2_betti(hb)
+    sys_2 = TwistedLocalSystem(product, MOD2)
+    assert [cohomology(sys_2, k).dimension for k in range(5)] == \
+        [sum(pa[i] * pb[n - i] for i in range(n + 1)) for n in range(5)]
 
 
 # --- is_coboundary --------------------------------------------------------

@@ -228,6 +228,19 @@ def test_cli_verify():
     assert "failures: 0" in proc.stdout
 
 
+def test_cli_verify_checks_under_optimize():
+    # -O strips assert statements; a broken invariant must still be reported
+    script = ("import sys\n"
+              "from gerbelab import cli, nerve\n"
+              "nerve.Nerve.euler_characteristic = lambda self: 99\n"
+              "sys.exit(cli.main(['verify']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "suite-nerve: FAIL ()" in proc.stdout
+    assert "failures: 1" in proc.stdout
+
+
 def test_cli_machine_readable_json():
     proc = run_cli("--machine-readable", "cohomology",
                    str(SAMPLES / "system_circle_mobius.yaml"), "--degree", "1")

@@ -60,6 +60,20 @@ def test_euler_characteristic_of_sphere_models():
         assert models.boundary_simplex(dim).euler_characteristic() == 1 + (-1) ** dim
 
 
+def test_four_dimensional_products_keep_top_simplices():
+    s1, s2, s3, rp2 = (models.circle_nerve(), models.boundary_simplex(2),
+                       models.boundary_simplex(3), models.rp2_nerve())
+    for a, b, chi in ((s2, s2, 4), (rp2, rp2, 1), (s3, s1, 0)):
+        product = models.ordered_product(a, b)
+        assert product.dimension() == 4
+        assert product.euler_characteristic() == chi
+
+
+def test_product_above_dimension_four_rejected():
+    with pytest.raises(DimensionTooLarge):
+        models.ordered_product(models.boundary_simplex(3), models.boundary_simplex(2))
+
+
 def test_vertex_count_inferred_and_isolated_vertices():
     n = build_nerve([(0, 1)], vertex_count=4)
     assert simplices(n, 0) == ((0,), (1,), (2,), (3,))

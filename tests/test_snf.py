@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbelab.snf import (kernel_basis, lattice_basis, matvec,
-                          obstruction_certificate, real_in_lattice,
+from gerbelab.snf import (invariant_factors, kernel_basis, lattice_basis,
+                          matvec, obstruction_certificate, real_in_lattice,
                           smith_normal_form, solve)
 from oracles import integer_invariants
 
@@ -76,14 +76,22 @@ def test_fixed_cases_match_sympy(matrix):
     assert [d for d in snf.diag if d > 1] == torsion
 
 
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
-                min_size=3, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_random_matrices_match_sympy(matrix):
-    snf = check_form(matrix)
+@given(st.lists(st.one_of(st.just([0, 0, 0, 0]),
+                          st.lists(st.integers(-9, 9), min_size=4, max_size=4)),
+                min_size=0, max_size=5),
+       st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_random_matrices_match_sympy(matrix, scale):
+    # scale > 1 leaves no unit entry, so invariant_factors runs its dense block
+    matrix = [[scale * x for x in row] for row in matrix]
+    snf = check_form(matrix, ncols=4)
     rank, torsion = integer_invariants(np.array(matrix))
     assert snf.rank == rank
     assert [d for d in snf.diag if d > 1] == torsion
+    factors = invariant_factors(matrix)
+    assert len(factors) == rank
+    assert [d for d in factors if d > 1] == torsion
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
