@@ -109,13 +109,10 @@ class TwistedLocalSystem:
         return self._cache[key]
 
     def delta_invariants(self, k):
-        """Nonzero invariant factors of d_k, read off a cached Smith form
-        when there is one and computed without transforms otherwise."""
+        """Nonzero invariant factors of d_k, computed without transforms."""
         key = ("invariants", k)
         if key not in self._cache:
-            snf = self._cache.get(("snf", k))
-            self._cache[key] = tuple(snf.diag if snf is not None
-                                     else _snf.invariant_factors(self.delta_matrix(k)))
+            self._cache[key] = tuple(_snf.invariant_factors(self.delta_matrix(k)))
         return self._cache[key]
 
     def delta_snf_mod(self, k):
@@ -239,9 +236,10 @@ def cohomology(sys, k):
     of d_{k-1} above 1.  Reals: that free rank as the dimension.  Mod n,
     by universal coefficients (Hatcher, Algebraic Topology, Thm 3A.3):
     (Z/n)^free plus Z/gcd(d, n) for every factor d of d_{k-1} (the
-    cokernel part) and of d_k (the kernel part), in invariant-factor form
-    (for prime n just count them for the dimension).  Circle coefficients
-    are unsupported here; use the Bockstein route instead.
+    cokernel part) and of d_k (the kernel part), brought to invariant-factor
+    form by pairwise gcd/lcm (for prime n just count them for the
+    dimension).  Circle coefficients are unsupported here; use the
+    Bockstein route instead.
     """
     kind = sys.coeff.kind
     if kind == CIRCLE:
@@ -259,10 +257,12 @@ def cohomology(sys, k):
         return CohomologyGroup(free, (), kind)
     n = sys.coeff.modulus
     orders = [d for d in [n] * free + [gcd(f, n) for f in into + out] if d > 1]
-    diagonal = [[d if j == i else 0 for j in range(len(orders))]
-                for i, d in enumerate(orders)]
-    torsion = tuple(d for d in _snf.invariant_factors(diagonal) if d > 1)
-    return CohomologyGroup(0, torsion, MOD)
+    # Z/a + Z/b = Z/gcd + Z/lcm; the sweep leaves a divisibility chain
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            g = gcd(orders[i], orders[j])
+            orders[i], orders[j] = g, orders[i] // g * orders[j]
+    return CohomologyGroup(0, tuple(d for d in orders if d > 1), MOD)
 
 
 @dataclass(frozen=True)
