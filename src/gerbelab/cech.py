@@ -15,10 +15,13 @@ obstructions.
 
 Cohomology over the integers, mod n and the reals is read off the integer
 invariant factors of the coboundaries in exact arithmetic (universal
-coefficients for mod n; the Smith rank for reals).  Circle-valued (R/Z)
-classes are handled by the Bockstein route: lift to [0,1), take the
-coboundary, read off an integer cocycle (the twisted Dixmier-Douady
-construction).
+coefficients for mod n; the Smith rank for reals).  A circle-valued (R/Z)
+cocycle is a coboundary when one integrality check on its lift to [0,1)
+holds, read off the cached integer Smith form of d_{k-1}; the Bockstein
+route (lift, take the coboundary, read off an integer cocycle: the twisted
+Dixmier-Douady construction) names the class when it does not.  A system
+made by with_coefficients shares its parent's cache of matrices and Smith
+forms when their integer coboundaries agree.
 """
 
 from dataclasses import dataclass, field
@@ -71,7 +74,13 @@ class TwistedLocalSystem:
         return self.eps[self.nerve.index_of(e)]
 
     def with_coefficients(self, coeff):
-        return TwistedLocalSystem(self.nerve, coeff, self.eps)
+        """The same nerve and twist over ``coeff``.  The cache is shared
+        when the integer coboundary is the same, i.e. the involution is
+        negation in both systems or in neither."""
+        other = TwistedLocalSystem(self.nerve, coeff, self.eps)
+        if (coeff.involution == NEGATION) == (self.coeff.involution == NEGATION):
+            other._cache = self._cache
+        return other
 
     def twist_is_trivial(self):
         return all(x == 1 for x in self.eps)
@@ -117,15 +126,11 @@ class TwistedLocalSystem:
 
     def delta_snf_mod(self, k):
         """Smith form of [d_k | n I], for solving d_k x = b mod n."""
-        key = ("snf_mod", k)
+        n = self.coeff.modulus
+        key = ("snf_mod", k, n)
         if key not in self._cache:
-            n = self.coeff.modulus
-            rows = [list(row) for row in self.delta_matrix(k)]
-            nrows = len(rows)
-            for i, row in enumerate(rows):
-                row.extend(n if j == i else 0 for j in range(nrows))
-            self._cache[key] = _snf.smith_normal_form(
-                rows, ncols=self.nerve.count(k) + nrows)
+            self._cache[key] = _snf.smith_normal_form_mod(
+                self.delta_matrix(k), n, self.nerve.count(k))
         return self._cache[key]
 
 
@@ -271,6 +276,8 @@ class Certificate:
 
     ``functional`` pairs to ``pairing`` != 0 (mod ``modulus``; modulus 0
     means over Z or R) with the cocycle while killing every coboundary.
+    Circle certificates of stage "real-vs-integral" have modulus 1: an
+    integral functional whose real pairing is not an integer.
     """
     functional: tuple
     modulus: int
@@ -289,8 +296,8 @@ def is_coboundary(z, sys, check=True):
     """Solve d b = z, or certify that no primitive exists.
 
     Exact rings go through Smith normal form; reals use least squares with
-    a residual test; circle coefficients use the two-stage Bockstein and
-    lattice test.  Raises NotACocycle when z is not closed.
+    a residual test; circle coefficients use u1_is_coboundary.  Raises
+    NotACocycle when z is not closed.
     """
     if check and not is_cocycle(z, sys):
         raise NotACocycle(f"degree-{z.degree} cochain is not closed")
@@ -347,91 +354,41 @@ def _real_is_coboundary(z, sys):
 
 
 def u1_is_coboundary(z, sys):
-    """Two-stage triviality test for circle-valued cocycles.
+    """Triviality test for circle-valued cocycles from one integer Smith form.
 
-    Stage 1: the integer cocycle n = d(lift) must be an integral
-    coboundary, n = d w.  Stage 2: the corrected real cocycle lift - w
-    must lie in (real coboundaries) + (integer cocycle lattice), a lattice
-    membership decided exactly through Smith forms.  On success a mod-1
-    primitive is returned and verified.
+    With S d_{k-1} T = D (nonzero factors d_i, i < r) and zh the lift of z
+    to [0,1), z is a coboundary mod 1 exactly when (S zh)_i is an integer
+    for every i >= r (universal coefficients, Hatcher, Algebraic Topology,
+    Thm 3A.3): then S zh = D y + m with m integral, y_i = (S zh)_i / d_i,
+    and b = T y has d b = zh - S^-1 m.  The primitive is verified.
+    Otherwise the integral row S_i kills every real coboundary and pairs
+    with zh to a non-integer, a certificate modulo 1.  The certificate's
+    stage comes from the Bockstein cocycle n = d(zh): when n is not an
+    integral coboundary, its certificate is returned as "dixmier-douady";
+    else the row S_i is returned as "real-vs-integral".
     """
     if sys.coeff.kind != CIRCLE:
         raise UnsupportedCoefficient("u1_is_coboundary needs circle coefficients")
     k = z.degree
     if not z.values:
         return CoboundaryResult(True, zero_cochain(sys, k - 1), None)
-    lift = [float(v) for v in z.values]
     n_cochain, int_sys = _integral_coboundary_of_lift(z, sys)
-    stage1 = is_coboundary(n_cochain, int_sys)
-    if not stage1.trivial:
-        cert = stage1.certificate
-        return CoboundaryResult(False, None, Certificate(
-            cert.functional, cert.modulus, cert.pairing, stage="dixmier-douady"))
-    w = stage1.primitive.values
-    v = [lift[i] - w[i] for i in range(len(lift))]  # real cocycle
-    # coordinates in the integer cocycle lattice ker(d_k)
-    kernel = _snf.kernel_basis(sys.delta_snf(k))
-    if not kernel:
-        # only the zero cocycle: v must itself be a real coboundary
-        coords = []
-        u_cols = []
-    else:
-        bmat = np.array(kernel, dtype=float).T
-        coords, *_ = np.linalg.lstsq(bmat, np.array(v), rcond=None)
-        if float(np.max(np.abs(bmat @ coords - np.array(v)))) > 1e-8:
-            raise AssertionError("real cocycle escaped the kernel span")
-        kb_snf = _snf.smith_normal_form([[b[r] for b in kernel]
-                                         for r in range(len(v))])
-        u_cols = []
-        dm1 = sys.delta_matrix(k - 1)
-        for j in range(len(dm1[0]) if dm1 else 0):
-            col = [row[j] for row in dm1]
-            u = _snf.solve(kb_snf, col)
-            if u is None:
-                raise AssertionError("coboundary column escaped the cocycle lattice")
-            u_cols.append(u[:len(kernel)])
-    d = len(kernel)
-    if d == 0:
-        x_int = []
-    else:
-        # annihilator of span(U): functionals phi with phi . u = 0 for all u
-        if u_cols:
-            ut = [[u[i] for u in u_cols] for i in range(d)]  # d x m, columns = u
-            phi_rows = _snf.kernel_basis(_snf.smith_normal_form(
-                [[ut[i][j] for i in range(d)] for j in range(len(u_cols))]))
-        else:
-            phi_rows = [[1 if j == i else 0 for j in range(d)] for i in range(d)]
-        if not phi_rows:
-            x_int = [0] * d  # U spans everything; any integer offset works
-        else:
-            y = [sum(phi[i] * coords[i] for i in range(d)) for phi in phi_rows]
-            gens = [[phi[j] for phi in phi_rows] for j in range(d)]
-            lat = _snf.lattice_basis(gens, len(phi_rows))
-            member = _snf.real_in_lattice(lat, y, tol=max(sys.coeff.tolerance, 1e-9))
-            if member is None:
+    s = sys.delta_snf(k - 1)
+    sz = _snf.matvec(s.s, [float(v) for v in z.values])
+    tol = max(sys.coeff.tolerance, 1e-9)
+    for i in range(s.rank, s.nrows):
+        frac = abs(sz[i] - round(sz[i]))
+        # the bound scales with the row's 1-norm, which is at least 1
+        if frac > tol and frac > tol * sum(map(abs, s.s[i])):
+            stage1 = is_coboundary(n_cochain, int_sys)
+            if not stage1.trivial:
+                cert = stage1.certificate
                 return CoboundaryResult(False, None, Certificate(
-                    tuple(tuple(p) for p in phi_rows), 0, tuple(y),
-                    stage="real-vs-integral"))
-            y_int = [sum(member[i] * lat[i][r] for i in range(len(lat)))
-                     for r in range(len(phi_rows))]
-            phi_mat_snf = _snf.smith_normal_form(phi_rows)
-            x_int = _snf.solve(phi_mat_snf, y_int)
-            if x_int is None:
-                raise AssertionError("lattice membership without integer witness")
-            x_int = x_int[:d]
-    w2 = [sum(x_int[i] * kernel[i][r] for i in range(d)) for r in range(len(v))] \
-        if d else [0] * len(v)
-    target = np.array([v[r] - w2[r] for r in range(len(v))])
-    a = np.array(sys.delta_matrix(k - 1), dtype=float)
-    if a.size == 0:
-        if target.size and float(np.max(np.abs(target))) > 1e-8:
-            raise AssertionError("membership held but no primitive found")
-        b_real = np.zeros(sys.nerve.count(k - 1))
-    else:
-        b_real, *_ = np.linalg.lstsq(a, target, rcond=None)
-        if float(np.max(np.abs(a @ b_real - target))) > 1e-8:
-            raise AssertionError("membership held but residual is large")
-    primitive = cochain(sys, k - 1, b_real.tolist())
+                    cert.functional, cert.modulus, cert.pairing, stage="dixmier-douady"))
+            return CoboundaryResult(False, None, Certificate(
+                tuple(s.s[i]), 1, sz[i] % 1.0, stage="real-vs-integral"))
+    y = [sz[i] / s.diag[i] for i in range(s.rank)] + [0.0] * (s.ncols - s.rank)
+    primitive = cochain(sys, k - 1, _snf.matvec(s.t, y))
     check = cochain_sub(sys, coboundary(primitive, sys), z)
     if not all(sys.coeff.is_zero(x) for x in check.values):
         raise AssertionError("u1 primitive failed verification")

@@ -282,12 +282,8 @@ def _random_system(nerve_, coeff, rng):
     from .coeffs import CoefficientGroup
     from . import snf as _snf
     mod2 = cech.TwistedLocalSystem(nerve_, CoefficientGroup.integers_mod(2))
-    rows = [list(r) for r in mod2.delta_matrix(1)]
-    nrows = len(rows)
-    for i, row in enumerate(rows):
-        row.extend(2 if j == i else 0 for j in range(nrows))
-    basis = _snf.kernel_basis(_snf.smith_normal_form(
-        rows, ncols=nerve_.count(1) + nrows))
+    basis = _snf.kernel_basis(_snf.smith_normal_form_mod(
+        mod2.delta_matrix(1), 2, nerve_.count(1)))
     signs = [0] * nerve_.count(1)
     for vec in basis:
         if rng.integers(2):

@@ -222,12 +222,6 @@ class Automorphism:
     def is_involution(self):
         return all(self.perm[self.perm[g]] == g for g in range(self.group.order))
 
-    def power(self, eps):
-        """sigma^eps for an edge sign: identity for +1, sigma for -1."""
-        if eps == 1:
-            return lambda g: g
-        return self.__call__
-
 
 @dataclass(frozen=True)
 class SemidirectElement:

@@ -112,12 +112,9 @@ def rp2_generator_cocycle(system=None):
     system = system or TwistedLocalSystem(rp2_nerve(), CoefficientGroup.integers_mod(2))
     nerve = system.nerve
     # mod-2 kernel of d_1: integer kernel of [d_1 | 2I] projected
-    rows = [list(r) for r in system.delta_matrix(1)]
-    nrows = len(rows)
-    for i, row in enumerate(rows):
-        row.extend(2 if j == i else 0 for j in range(nrows))
     ncols = nerve.count(1)
-    for vec in _snf.kernel_basis(_snf.smith_normal_form(rows, ncols=ncols + nrows)):
+    for vec in _snf.kernel_basis(_snf.smith_normal_form_mod(
+            system.delta_matrix(1), 2, ncols)):
         candidate = cech.cochain(system, 1, vec[:ncols])
         if any(candidate.values):
             result = cech.is_coboundary(candidate, system)

@@ -1,7 +1,7 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
 Smith normal form with unimodular transforms, integer linear solving,
-kernel and lattice bases, and image-membership certificates.  Matrices are
+kernel bases, and image-membership certificates.  Matrices are
 lists of lists of Python ints; sizes here are nerve-sized (a few hundred),
 so clarity and exactness win over asymptotics.
 
@@ -18,8 +18,9 @@ class SmithForm:
     """D = S @ A @ T with S, T unimodular and D diagonal, d_i | d_{i+1}.
 
     ``diag`` holds the nonzero invariant factors (all positive), ``rank``
-    their count.  ``s_inv`` is the inverse of ``S`` (needed for lattice
-    bases of column spaces).
+    their count.  ``s_inv`` is the inverse of ``S``: the image of A is
+    spanned by d_i times its i-th column, so that column has order d_i in
+    the cokernel.
     """
 
     __slots__ = ("nrows", "ncols", "diag", "rank", "s", "s_inv", "t")
@@ -129,16 +130,12 @@ def smith_normal_form(matrix, ncols=None):
                         changed = True
             if not changed:
                 break
-        # pivot must divide the rest of the submatrix
+        # pivot must divide the rest of the submatrix; a unit always does
         d = m[k][k]
         offender = None
-        for i in range(k + 1, nrows):
-            for j in range(k + 1, ncols):
-                if m[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        if abs(d) != 1:
+            offender = next((i for i in range(k + 1, nrows)
+                             if any(m[i][j] % d for j in range(k + 1, ncols))), None)
         if offender is not None:
             row_addmul(k, offender, 1)
             continue  # redo this k with the enlarged row
@@ -169,6 +166,18 @@ def smith_normal_form(matrix, ncols=None):
             m[i][j] = m[j][i] = 0
 
     return SmithForm(nrows, ncols, diag, s, s_inv, t)
+
+
+def smith_normal_form_mod(matrix, n, ncols):
+    """Smith form of [A | n I] for an integer matrix A with ``ncols``
+    columns.  Solving against it solves A x = b mod n (keep the first
+    ``ncols`` entries of x), and its kernel basis cut to those entries
+    spans the kernel of A mod n.
+    """
+    nrows = len(matrix)
+    rows = [list(row) + [n if j == i else 0 for j in range(nrows)]
+            for i, row in enumerate(matrix)]
+    return smith_normal_form(rows, ncols=ncols + nrows)
 
 
 def _bezout(a, b, g):
@@ -315,45 +324,3 @@ def kernel_basis(snf):
     """Basis of the integer kernel lattice of A (columns of T past the rank)."""
     return [[snf.t[r][j] for r in range(snf.ncols)]
             for j in range(snf.rank, snf.ncols)]
-
-
-def lattice_basis(generators, dim):
-    """Basis of the lattice spanned by integer generator vectors.
-
-    ``generators`` is a list of length-``dim`` vectors; the result is a list
-    of independent vectors spanning the same lattice (columns d_i * S^-1 e_i
-    of the Smith form of the generator matrix).
-    """
-    if not generators:
-        return []
-    cols = [[g[r] for g in generators] for r in range(dim)]
-    snf = smith_normal_form(cols)
-    return [[snf.diag[i] * snf.s_inv[r][i] for r in range(dim)]
-            for i in range(snf.rank)]
-
-
-def real_in_lattice(basis, v, tol=1e-9):
-    """Does the real vector v lie in the lattice spanned by ``basis``?
-
-    Returns the integer coordinate vector when yes, else None.  Uses the
-    Smith form of the basis matrix, so the test is exact up to the floating
-    tolerance on the transformed coordinates.
-    """
-    if not basis:
-        return [] if max((abs(x) for x in v), default=0.0) <= tol else None
-    dim = len(basis[0])
-    cols = [[b[r] for b in basis] for r in range(dim)]
-    snf = smith_normal_form(cols)
-    sv = [sum(snf.s[i][r] * v[r] for r in range(dim)) for i in range(dim)]
-    coords = [0] * len(basis)
-    scale = max(1.0, max(abs(x) for x in v))
-    for i in range(dim):
-        if i < snf.rank:
-            q = sv[i] / snf.diag[i]
-            qi = round(q)
-            if abs(q - qi) > tol * scale:
-                return None
-            coords[i] = qi
-        elif abs(sv[i]) > tol * scale:
-            return None
-    return matvec(snf.t, coords)

@@ -12,8 +12,8 @@ from gerbelab.coeffs import CoefficientGroup
 from gerbelab.errors import (DegreeOverflow, NotACocycle, NotU1Cocycle,
                              UnsupportedCoefficient)
 from gerbelab.nerve import build_nerve, random_nerve
-from oracles import (integer_cohomology, kunneth, mod2_cohomology_dim,
-                     modp_cohomology_dim)
+from oracles import (coboundary_matrix, integer_cohomology, kunneth,
+                     mod2_cohomology_dim, modp_cohomology_dim)
 
 Z = CoefficientGroup.integers()
 ZNEG = CoefficientGroup.integers(involution="negation")
@@ -438,3 +438,172 @@ def test_u1_nontrivial_on_rp2_cross_circle():
     result = u1_is_coboundary(a, circle_sys)
     assert not result.trivial
     assert result.certificate.stage == "dixmier-douady"
+
+
+# --- circle-valued triviality from one integer Smith form --------------------
+
+def unit(nerve, k, simplex):
+    return [1 if s == simplex else 0 for s in nerve.simplices[k]]
+
+
+def pulled_back_edges(product, factor_vertices, edges, which):
+    """Edge values pulled back along a projection of ordered_product: vertex
+    x maps to x // m (first factor) or x % m (second); degenerate edges
+    get 0."""
+    def proj(x):
+        return x // factor_vertices if which == 0 else x % factor_vertices
+    return [edges.get((proj(a), proj(b)), 0) for a, b in product.simplices[1]]
+
+
+def u1_classes():
+    """(label, circle system, degree, kind, data), the class known by
+    construction.  ``free``: data is an integer cocycle generating a free
+    summand of H^k(Z), so t*m*data is trivial mod 1 exactly when t*m is an
+    integer.  ``torsion``: an integer cocycle of finite order, so every
+    real multiple is trivial.  ``trivial`` / ``dd``: a circle cochain that
+    is trivial / has a non-zero Dixmier-Douady (Bockstein) class."""
+    circle, rp2, prod = (models.circle_nerve(), models.rp2_nerve(),
+                         models.rp2_cross_circle())
+    gen = list(models.rp2_generator_cocycle().values)
+    orient = {e: -1 for e, g in zip(rp2.simplices[1], gen) if g}
+    s3 = models.boundary_simplex(3)
+    s2 = models.boundary_simplex(2)
+    sys_circle = circle_system(circle)
+    sys_mobius = TwistedLocalSystem(
+        circle, CoefficientGroup.circle(involution="negation"), models.mobius_twist())
+    sys_rp2 = circle_system(rp2)
+    sys_rp2t = TwistedLocalSystem(
+        rp2, CoefficientGroup.circle(involution="negation"), orient)
+    sys_prod = circle_system(prod)
+    half_gen = [g / 2 for g in gen]
+    s1_gen = pulled_back_edges(prod, 3, {(0, 2): 1}, which=1)
+    rp2_gen = pulled_back_edges(prod, 3, dict(zip(rp2.simplices[1], gen)), which=0)
+    half_dd, _ = models.half_integer_two_cocycle(TwistedLocalSystem(prod, Z))
+    return [
+        ("circle H^1", sys_circle, 1, "free", unit(circle, 1, (0, 2))),
+        ("mobius H^1", sys_mobius, 1, "torsion", unit(circle, 1, (0, 2))),
+        ("S2 H^2", circle_system(s2), 2, "free", unit(s2, 2, (0, 1, 2))),
+        ("S3 H^3", circle_system(s3), 3, "free", unit(s3, 3, (0, 1, 2, 3))),
+        ("RP2 H^1", sys_rp2, 1, "dd", half_gen),
+        ("RP2 H^2", sys_rp2, 2, "torsion", unit(rp2, 2, (0, 1, 2))),
+        ("RP2~ H^1", sys_rp2t, 1, "trivial", half_gen),
+        ("RP2~ H^2", sys_rp2t, 2, "free", unit(rp2, 2, (0, 1, 2))),
+        ("RP2xS1 H^1 circle", sys_prod, 1, "free", s1_gen),
+        ("RP2xS1 H^1 half", sys_prod, 1, "dd", [g / 2 for g in rp2_gen]),
+        ("RP2xS1 H^2", sys_prod, 2, "dd", list(half_dd.values)),
+    ]
+
+
+def twisted_delta(sys_, k):
+    """The integer d_k of the system's twist, from the oracle."""
+    eps = {e: -1 for e, s in zip(sys_.nerve.simplices[1], sys_.eps) if s == -1}
+    return coboundary_matrix(sys_.nerve, k, eps, sys_.coeff.involution == "negation")
+
+
+def check_u1_answer(sys_, z, result, trivial, stage):
+    k = z.degree
+    assert result.trivial == trivial
+    if trivial:
+        back = coboundary(result.primitive, sys_)
+        assert all(sys_.coeff.eq(x, y) for x, y in zip(back.values, z.values))
+        return
+    cert = result.certificate
+    assert cert.stage == stage
+    lift = [float(v) for v in z.values]
+    if stage == "real-vs-integral":
+        # integral, kills every coboundary exactly, non-integer on the lift
+        d = twisted_delta(sys_, k - 1)
+        assert cert.modulus == 1
+        assert all(isinstance(f, int) for f in cert.functional)
+        assert not (np.array(cert.functional, dtype=object) @ d).any()
+        pairing = sum(f * v for f, v in zip(cert.functional, lift))
+        assert abs(pairing - round(pairing)) > 1e-6
+        assert abs((pairing - cert.pairing + 0.5) % 1.0 - 0.5) <= 1e-9
+    else:
+        # a certificate for the integer cocycle d(lift) over d_k
+        d = twisted_delta(sys_, k)
+        n = [round(v) for v in d.astype(float) @ np.array(lift)]
+        m = cert.modulus
+        kills = np.array(cert.functional, dtype=object) @ d
+        assert all(v % m == 0 for v in kills) if m else not kills.any()
+        pairing = sum(f * v for f, v in zip(cert.functional, n))
+        assert (pairing % m if m else pairing) != 0
+
+
+def test_u1_one_check_matches_construction():
+    rng = np.random.default_rng(59)
+    seen = set()
+    classes = u1_classes()
+    for label, sys_, k, kind, data in classes:
+        for trial in range(12):
+            z = coboundary(random_cochain(sys_, k - 1, rng), sys_)
+            check_u1_answer(sys_, z, u1_is_coboundary(z, sys_), True, None)
+            t = (0.5, 1 / 3, 0.3)[trial % 3]
+            m = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            if kind in ("free", "torsion"):
+                # t times the class of m*data, spread by an integer coboundary
+                w = rng.integers(-2, 3, sys_.nerve.count(k - 1))
+                dw = twisted_delta(sys_, k - 1) @ w
+                shift = [t * (m * g + int(x)) for g, x in zip(data, dw)]
+            else:
+                shift = data
+            z = cochain(sys_, k, [a + s for a, s in zip(z.values, shift)])
+            trivial = {"free": abs(t * m - round(t * m)) < 1e-9, "torsion": True,
+                       "trivial": True, "dd": False}[kind]
+            stage = "dixmier-douady" if kind == "dd" else "real-vs-integral"
+            result = u1_is_coboundary(z, sys_)
+            check_u1_answer(sys_, z, result, trivial, stage)
+            seen.add((label, result.trivial))
+    # every free class was met both as a trivial and as a non-trivial multiple
+    free = {c[0] for c in classes if c[3] == "free"}
+    assert {(label, v) for label in free for v in (True, False)} <= seen
+
+
+def count_smith_forms(monkeypatch):
+    """Record every Smith form, with or without transforms, from here on."""
+    from gerbelab import snf
+    calls = []
+    for name in ("smith_normal_form", "invariant_factors"):
+        real = getattr(snf, name)
+        monkeypatch.setattr(snf, name, lambda *a, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    return calls
+
+
+def test_repeated_circle_queries_reuse_the_integer_smith_forms(monkeypatch):
+    rng = np.random.default_rng(61)
+    prod = models.rp2_cross_circle()
+    sys_ = circle_system(prod)
+    gen = models.rp2_generator_cocycle().values
+    half = pulled_back_edges(prod, 3, dict(zip(models.rp2_nerve().simplices[1], gen)), 0)
+    calls = count_smith_forms(monkeypatch)
+    for round_ in range(2):
+        a = coboundary(random_cochain(sys_, 1, rng), sys_)
+        assert bockstein_dd(a, sys_).trivial
+        assert u1_is_coboundary(a, sys_).trivial
+        z = cochain(sys_, 1, [v / 2 for v in half])
+        assert u1_is_coboundary(z, sys_).certificate.stage == "dixmier-douady"
+        if round_ == 0:
+            assert calls  # the first round builds the Smith forms
+            calls.clear()
+    assert calls == []
+
+
+def test_mod_n_child_does_not_read_the_parents_mod_n_smith_form(monkeypatch):
+    rng = np.random.default_rng(67)
+    nerve = models.rp2_nerve()
+    sys2 = TwistedLocalSystem(nerve, MOD2)
+    z2 = coboundary(random_cochain(sys2, 1, rng), sys2)
+    assert is_coboundary(z2, sys2).trivial
+    sys3 = sys2.with_coefficients(CoefficientGroup.integers_mod(3))
+    calls = count_smith_forms(monkeypatch)
+    assert sys3.delta_matrix(1) is sys2.delta_matrix(1)  # shared, not rebuilt
+    assert sys3.delta_snf_mod(1) is not sys2.delta_snf_mod(1)
+    assert calls == ["smith_normal_form"]
+    assert sys3.delta_snf_mod(1).diag == \
+        TwistedLocalSystem(nerve, CoefficientGroup.integers_mod(3)).delta_snf_mod(1).diag
+    for _ in range(5):
+        z3 = coboundary(random_cochain(sys3, 1, rng), sys3)
+        result = is_coboundary(z3, sys3)
+        assert result.trivial
+        assert coboundary(result.primitive, sys3).values == z3.values

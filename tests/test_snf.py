@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbelab.snf import (invariant_factors, kernel_basis, lattice_basis,
-                          matvec, obstruction_certificate, real_in_lattice,
-                          smith_normal_form, solve)
+from gerbelab.snf import (invariant_factors, kernel_basis, matvec,
+                          obstruction_certificate, smith_normal_form,
+                          smith_normal_form_mod, solve)
 from oracles import integer_invariants
 
 
@@ -132,11 +132,24 @@ def test_empty_matrix_kernel_is_everything():
     assert len(kernel_basis(snf)) == 3
 
 
-def test_lattice_basis_and_membership():
-    gens = [[2, 0], [0, 3], [2, 3]]
-    basis = lattice_basis(gens, 2)
-    assert len(basis) == 2
-    assert real_in_lattice(basis, [2.0, 3.0]) is not None
-    assert real_in_lattice(basis, [4.0, -3.0]) is not None
-    assert real_in_lattice(basis, [1.0, 0.0]) is None
-    assert real_in_lattice(basis, [2.0, 1.5]) is None
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 6),
+       st.integers(0, 10 ** 6))
+def test_smith_form_mod_n_solves_and_spans_kernel(nrows, ncols, n, seed):
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(-3, 4, (nrows, ncols)).tolist()
+    snf = smith_normal_form_mod(matrix, n, ncols)
+    assert snf.ncols == ncols + nrows
+    for vec in kernel_basis(snf):
+        assert all(v % n == 0 for v in matvec(matrix, vec[:ncols]))
+    # every b in the image mod n is solved, every other b is certified
+    for b in np.ndindex(*(n,) * nrows):
+        x = solve(snf, list(b))
+        if x is not None:
+            assert all((v - w) % n == 0 for v, w in zip(matvec(matrix, x[:ncols]), b))
+            continue
+        fun, mod, val = obstruction_certificate(snf, list(b))
+        assert mod and n % mod == 0
+        assert all(sum(f * a for f, a in zip(fun, col)) % mod == 0
+                   for col in zip(*matrix))
+        assert sum(f * v for f, v in zip(fun, b)) % mod == val != 0
