@@ -292,14 +292,16 @@ class CoboundaryResult:
     certificate: Optional[Certificate] = None
 
 
-def is_coboundary(z, sys, check=True):
+def is_coboundary(z, sys):
     """Solve d b = z, or certify that no primitive exists.
 
-    Exact rings go through Smith normal form; reals use least squares with
-    a residual test; circle coefficients use u1_is_coboundary.  Raises
-    NotACocycle when z is not closed.
+    Exact rings take one pass of snf.solve over the cached Smith form of
+    d_{k-1} (of [d_{k-1} | nI] mod n, the primitive cut to its first
+    count(k-1) entries); reals use least squares with a residual test;
+    circle coefficients use u1_is_coboundary.  Raises NotACocycle when z
+    is not closed.
     """
-    if check and not is_cocycle(z, sys):
+    if not is_cocycle(z, sys):
         raise NotACocycle(f"degree-{z.degree} cochain is not closed")
     k = z.degree
     if k == 0:
@@ -307,21 +309,14 @@ def is_coboundary(z, sys, check=True):
             return CoboundaryResult(True, None, None)
         return CoboundaryResult(False, None, Certificate((), 0, tuple(z.values)))
     kind = sys.coeff.kind
-    if kind == INTEGERS:
-        s = sys.delta_snf(k - 1)
-        x = _snf.solve(s, list(z.values))
-        if x is not None:
-            return CoboundaryResult(True, cochain(sys, k - 1, x), None)
-        fun, mod, val = _snf.obstruction_certificate(s, list(z.values))
-        return CoboundaryResult(False, None, Certificate(tuple(fun), mod, val))
-    if kind == MOD:
-        s = sys.delta_snf_mod(k - 1)
-        nc = sys.nerve.count(k - 1)
-        x = _snf.solve(s, list(z.values))
-        if x is not None:
-            return CoboundaryResult(True, cochain(sys, k - 1, x[:nc]), None)
-        fun, mod, val = _snf.obstruction_certificate(s, list(z.values))
-        return CoboundaryResult(False, None, Certificate(tuple(fun), mod, val))
+    if kind in (INTEGERS, MOD):
+        s = sys.delta_snf(k - 1) if kind == INTEGERS else sys.delta_snf_mod(k - 1)
+        x, cert = _snf.solve(s, z.values)
+        if cert is not None:
+            fun, mod, val = cert
+            return CoboundaryResult(False, None, Certificate(tuple(fun), mod, val))
+        x = x[:sys.nerve.count(k - 1)]
+        return CoboundaryResult(True, cochain(sys, k - 1, x), None)
     if kind == REALS:
         return _real_is_coboundary(z, sys)
     if kind == CIRCLE:

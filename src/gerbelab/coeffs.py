@@ -41,12 +41,18 @@ class CoefficientGroup:
             modulus = None
         if involution not in (IDENTITY, NEGATION):
             raise UnsupportedCoefficient(f"unknown involution {involution!r}")
+        tolerance = float(tolerance)
         if kind in (INTEGERS, MOD) and tolerance:
             raise UnsupportedCoefficient("exact coefficients have tolerance 0")
+        if not tolerance >= 0:
+            raise UnsupportedCoefficient(f"tolerance {tolerance} must be >= 0")
+        if kind == CIRCLE and tolerance >= 0.5:
+            # every value lies within 1/2 of an integer, so all would be zero
+            raise UnsupportedCoefficient(f"circle tolerance {tolerance} is not below 1/2")
         self.kind = kind
         self.modulus = modulus
         self.involution = involution
-        self.tolerance = float(tolerance)
+        self.tolerance = tolerance
 
     @classmethod
     def integers(cls, involution=IDENTITY):

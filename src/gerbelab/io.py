@@ -91,7 +91,7 @@ def _resolve_nerve(doc, path):
 def parse_coefficients(doc, path="<inline>"):
     kind = doc.get("set", "integers")
     involution = doc.get("involution", "identity")
-    tolerance = doc.get("tolerance")
+    tolerance = doc.get("tolerance", 1e-9)
     try:
         if kind == "integers":
             return CoefficientGroup.integers(involution=involution)
@@ -99,11 +99,9 @@ def parse_coefficients(doc, path="<inline>"):
             return CoefficientGroup.integers_mod(int(_need(doc, "modulus", path)),
                                                  involution=involution)
         if kind == "reals":
-            return CoefficientGroup.reals(involution=involution,
-                                          tolerance=tolerance or 1e-9)
+            return CoefficientGroup.reals(involution=involution, tolerance=tolerance)
         if kind == "circle":
-            return CoefficientGroup.circle(involution=involution,
-                                           tolerance=tolerance or 1e-9)
+            return CoefficientGroup.circle(involution=involution, tolerance=tolerance)
     except Exception as exc:
         raise ProblemFileError(f"{path}: bad coefficients: {exc}") from exc
     raise ProblemFileError(f"{path}: unknown coefficient set {kind!r}")

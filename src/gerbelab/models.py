@@ -7,8 +7,6 @@ real projective plane, and ordered products such as RP^2 x S^1.
 
 from itertools import combinations
 
-import numpy as np
-
 from . import cech, snf as _snf
 from .cech import TwistedLocalSystem
 from .coeffs import CoefficientGroup
@@ -127,10 +125,10 @@ def half_integer_two_cocycle(system):
     """A circle-valued 2-cocycle whose Dixmier-Douady class generates the
     2-torsion of H^3 of the given integer system's nerve.
 
-    Works by picking an integer 3-cocycle of order exactly 2 (via the
-    Smith form of d_2) and solving d(real 2-cochain) = cocycle by least
-    squares, which succeeds because torsion dies rationally.  Requires a
-    nerve with no 4-simplices, so that every 3-cochain is closed.
+    Exact, from the Smith form S d_2 T = D: for an invariant factor
+    d_i = 2, x = T e_i / 2 has d x = S^-1 e_i, an integer 3-cocycle of
+    order exactly 2.  So x mod 1, with values in {0, 1/2}, is a circle
+    cocycle with that Bockstein.  Requires a nerve with no 4-simplices.
     """
     if system.nerve.count(4):
         raise ValueError("construction assumes a nerve of dimension <= 3")
@@ -139,15 +137,9 @@ def half_integer_two_cocycle(system):
     if not order2:
         raise ValueError("nerve has no 2-torsion in degree-3 cohomology")
     i = order2[0]
-    n3 = system.nerve.count(3)
-    target = [s.s_inv[r][i] for r in range(n3)]  # integer 3-cocycle of order 2
-    a = np.array(system.delta_matrix(2), dtype=float)
-    x, *_ = np.linalg.lstsq(a, np.array(target, dtype=float), rcond=None)
-    if float(np.max(np.abs(a @ x - np.array(target)))) > 1e-8:
-        raise AssertionError("order-2 cocycle is not rationally exact")
     circle_sys = system.with_coefficients(
         CoefficientGroup.circle(involution=system.coeff.involution))
-    return cech.cochain(circle_sys, 2, x.tolist()), circle_sys
+    return cech.cochain(circle_sys, 2, [row[i] % 2 / 2 for row in s.t]), circle_sys
 
 
 def standard_corpus():

@@ -143,13 +143,6 @@ class BlockOperator:
     def minus_minus(self):
         return self.matrix[:self.cut, :self.cut]
 
-    @property
-    def plus_plus(self):
-        return self.matrix[self.cut:, self.cut:]
-
-    def modes(self):
-        return range(-self.truncation, self.truncation)
-
 
 def block_operator(X, K):
     """Assemble the truncated multiplication operator of a loop."""

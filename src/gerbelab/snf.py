@@ -1,7 +1,8 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Smith normal form with unimodular transforms, integer linear solving,
-kernel bases, and image-membership certificates.  Matrices are
+Smith normal form with unimodular transforms, kernel bases, and an
+integer solve that returns either a solution or an image-membership
+certificate from one scan of S b.  Matrices are
 lists of lists of Python ints; sizes here are nerve-sized (a few hundred),
 so clarity and exactness win over asymptotics.
 
@@ -11,7 +12,6 @@ and the dense Smith form only for the small block left without a unit.
 """
 
 from heapq import heappop, heappush
-from math import gcd
 
 
 class SmithForm:
@@ -143,28 +143,9 @@ def smith_normal_form(matrix, ncols=None):
             negate_row(k)
         k += 1
 
-    rank = k
-    diag = [m[i][i] for i in range(rank)]
-
-    # enforce the divisibility chain d_i | d_j for i < j
-    for i in range(rank - 1):
-        for j in range(i + 1, rank):
-            a, b = diag[i], diag[j]
-            if b % a == 0:
-                continue
-            g = gcd(a, b)
-            x, y = _bezout(a, b, g)
-            lcm = a // g * b
-            # rows i,j <- U @ rows; cols i,j <- cols @ V; keeps transforms exact
-            _apply_2x2_rows(m, s, s_inv, nrows, ncols, i, j,
-                            ((x, y), (-b // g, a // g)),
-                            ((a // g, -y), (b // g, x)))
-            _apply_2x2_cols(m, t, nrows, ncols, i, j,
-                            ((1, -y * (b // g)), (1, x * (a // g))))
-            diag[i], diag[j] = g, lcm
-            m[i][i], m[j][j] = g, lcm
-            m[i][j] = m[j][i] = 0
-
+    # every pivot divides the submatrix left after it, so the later pivots
+    # (integer combinations of its entries) keep the chain d_i | d_{i+1}
+    diag = [m[i][i] for i in range(k)]
     return SmithForm(nrows, ncols, diag, s, s_inv, t)
 
 
@@ -178,49 +159,6 @@ def smith_normal_form_mod(matrix, n, ncols):
     rows = [list(row) + [n if j == i else 0 for j in range(nrows)]
             for i, row in enumerate(matrix)]
     return smith_normal_form(rows, ncols=ncols + nrows)
-
-
-def _bezout(a, b, g):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    r0, r1 = a, b
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    # r0 = +-g
-    if r0 != g:
-        x0, y0 = -x0, -y0
-    return x0, y0
-
-
-def _apply_2x2_rows(m, s, s_inv, nrows, ncols, i, j, u, u_inv):
-    (a11, a12), (a21, a22) = u
-    for c in range(ncols):
-        vi, vj = m[i][c], m[j][c]
-        m[i][c] = a11 * vi + a12 * vj
-        m[j][c] = a21 * vi + a22 * vj
-    for c in range(nrows):
-        vi, vj = s[i][c], s[j][c]
-        s[i][c] = a11 * vi + a12 * vj
-        s[j][c] = a21 * vi + a22 * vj
-    (b11, b12), (b21, b22) = u_inv
-    for r in range(nrows):
-        vi, vj = s_inv[r][i], s_inv[r][j]
-        s_inv[r][i] = vi * b11 + vj * b21
-        s_inv[r][j] = vi * b12 + vj * b22
-
-
-def _apply_2x2_cols(m, t, nrows, ncols, i, j, v):
-    (a11, a12), (a21, a22) = v
-    for r in range(nrows):
-        vi, vj = m[r][i], m[r][j]
-        m[r][i] = vi * a11 + vj * a21
-        m[r][j] = vi * a12 + vj * a22
-    for r in range(len(t)):
-        vi, vj = t[r][i], t[r][j]
-        t[r][i] = vi * a11 + vj * a21
-        t[r][j] = vi * a12 + vj * a22
 
 
 def invariant_factors(matrix):
@@ -286,9 +224,12 @@ def matvec(matrix, vec):
 
 
 def solve(snf, b):
-    """Integer solution x of A x = b given snf = smith_normal_form(A).
+    """Solve A x = b over the integers given snf = smith_normal_form(A).
 
-    Returns None when no integer solution exists.
+    Returns (x, None) when b is in the column space of A, otherwise
+    (None, (functional, modulus, value)): the functional f (a row of S)
+    kills the image of A modulo ``modulus`` (modulus 0 meaning over the
+    integers) yet pairs with b to ``value``, nonzero mod ``modulus``.
     """
     sb = matvec(snf.s, list(b))
     y = [0] * snf.ncols
@@ -296,28 +237,11 @@ def solve(snf, b):
         if i < snf.rank:
             q, r = divmod(sb[i], snf.diag[i])
             if r:
-                return None
+                return None, (list(snf.s[i]), snf.diag[i], r)
             y[i] = q
         elif sb[i]:
-            return None
-    return matvec(snf.t, y)
-
-
-def obstruction_certificate(snf, b):
-    """Why b is not in the column space of A: (functional, modulus, value).
-
-    The functional f (a row of S) kills the image of A modulo ``modulus``
-    (modulus 0 meaning over the integers) yet pairs with b to ``value``
-    which is nonzero mod ``modulus``.  Returns None when b is in the image.
-    """
-    sb = matvec(snf.s, list(b))
-    for i in range(snf.nrows):
-        if i < snf.rank:
-            if sb[i] % snf.diag[i]:
-                return (list(snf.s[i]), snf.diag[i], sb[i] % snf.diag[i])
-        elif sb[i]:
-            return (list(snf.s[i]), 0, sb[i])
-    return None
+            return None, (list(snf.s[i]), 0, sb[i])
+    return matvec(snf.t, y), None
 
 
 def kernel_basis(snf):

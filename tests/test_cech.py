@@ -379,6 +379,17 @@ def test_dd_order_two_generator_on_rp2_cross_circle():
     assert is_coboundary(double, result.system).trivial
 
 
+def test_half_integer_two_cocycle_is_exact():
+    """x = T e_i / 2 mod 1 for the order-2 factor: only 0 and 1/2 occur,
+    and its Bockstein is the order-2 class of H^3."""
+    sys_z = TwistedLocalSystem(models.rp2_cross_circle(), Z)
+    a, circle_sys = models.half_integer_two_cocycle(sys_z)
+    assert set(a.values) <= {0.0, 0.5} and 0.5 in a.values
+    result = bockstein_dd(a, circle_sys)
+    assert not result.trivial
+    assert result.group.torsion == (2,)
+
+
 def test_dd_class_stable_under_u1_coboundary():
     rng = np.random.default_rng(47)
     prod = models.rp2_cross_circle()

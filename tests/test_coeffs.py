@@ -26,6 +26,21 @@ def test_exact_kinds_reject_tolerance():
         CoefficientGroup("integers", tolerance=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["reals", "circle"])
+def test_negative_tolerance_rejected(kind):
+    with pytest.raises(UnsupportedCoefficient):
+        CoefficientGroup(kind, tolerance=-1)
+
+
+def test_circle_tolerance_below_half():
+    assert CoefficientGroup.circle(tolerance=0.49).tolerance == 0.49
+    for tolerance in (0.5, 0.6):
+        with pytest.raises(UnsupportedCoefficient):
+            CoefficientGroup.circle(tolerance=tolerance)
+    # reals compare absolute values, so a large tolerance is no contradiction
+    assert CoefficientGroup.reals(tolerance=0.6).tolerance == 0.6
+
+
 def test_trivial_sigma_recovers_direct_product():
     z5 = FiniteGroup.cyclic(5)
     ident = Automorphism.identity(z5)

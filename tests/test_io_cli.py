@@ -85,6 +85,19 @@ def test_degenerate_nerve_rejected(tmp_path):
         gio.parse_nerve(doc, str(path))
 
 
+@pytest.mark.parametrize("kind", ["reals", "circle"])
+def test_coefficient_tolerance_read_as_given(kind):
+    assert gio.parse_coefficients({"set": kind}).tolerance == 1e-9
+    assert gio.parse_coefficients({"set": kind, "tolerance": 0}).tolerance == 0.0
+
+
+@pytest.mark.parametrize("kind, tolerance", [("reals", -1), ("circle", -1),
+                                             ("circle", 0.6)])
+def test_bad_coefficient_tolerance_rejected(kind, tolerance):
+    with pytest.raises(ProblemFileError):
+        gio.parse_coefficients({"set": kind, "tolerance": tolerance})
+
+
 # --- CLI end to end ---------------------------------------------------------
 
 def test_cli_cohomology_mobius():
@@ -214,6 +227,17 @@ def test_cli_parse_error_exits_2(tmp_path):
     proc = run_cli("cohomology", str(path), "--degree", "0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("kind, tolerance", [("reals", -1), ("circle", 0.6)])
+def test_cli_bad_tolerance_exits_2(tmp_path, kind, tolerance):
+    path = tmp_path / "system.yaml"
+    path.write_text("kind: system\nformat: v1\n"
+                    "nerve: {vertices: 3, maximal: [[0, 1], [1, 2], [0, 2]]}\n"
+                    f"coefficients: {{set: {kind}, tolerance: {tolerance}}}\n")
+    proc = run_cli("cohomology", str(path), "--degree", "1")
+    assert proc.returncode == 2
+    assert "tolerance" in proc.stderr
 
 
 def test_cli_missing_file_exits_2():
