@@ -160,7 +160,7 @@ def cmd_schwinger(args):
         if args.mode == "residue":
             report.add("residue", residue)
         else:
-            base = args.truncation or max(band, 1)
+            base = max(band, 1) if args.truncation is None else args.truncation
             for K in (base, base + 1, base + 5):
                 value = schwinger.schwinger_trace(
                     X, Y, K, allow_truncated=args.allow_truncated)
@@ -185,7 +185,7 @@ def cmd_schwinger(args):
         report.add("verdict", "PASS" if defect <= 1e-10 * scale else "FAIL")
     elif args.mode == "defect":
         X = loops[0]
-        K = args.truncation or X.band + 3
+        K = X.band + 3 if args.truncation is None else args.truncation
         result = schwinger.dirac_defect(X, K)
         report.add("truncation", K)
         report.add("window", result.window)
@@ -194,7 +194,7 @@ def cmd_schwinger(args):
                    "PASS" if result.interior_deviation <= 1e-12 else "FAIL")
     elif args.mode == "curvature":
         X, Y = loops
-        K = args.truncation or 2 * band + 2
+        K = 2 * band + 2 if args.truncation is None else args.truncation
         result = schwinger.defect_curvature(X, Y, K)
         flipped = schwinger.defect_curvature(Y, X, K)
         report.add("truncation", K)
@@ -211,7 +211,7 @@ def cmd_chern(args):
     report = Report("chern")
     _input_line(report, "bundle", args.bundle)
     build, options = io.parse_bundle(args.bundle)
-    if args.grid:
+    if args.grid is not None:
         options["resolution"] = args.grid
     report.add("model", "two-chart-sphere")
     report.add("clutching", options["clutching"])

@@ -249,8 +249,9 @@ def parse_bundle(path):
         options["corruption"] = corruption
 
     def build(resolution=None):
-        data = two_chart_sphere(options["clutching"],
-                                resolution=resolution or options["resolution"],
+        if resolution is None:
+            resolution = options["resolution"]
+        data = two_chart_sphere(options["clutching"], resolution=resolution,
                                 inner=options["inner"], outer=options["outer"],
                                 extent=options["extent"])
         if corruption is not None:

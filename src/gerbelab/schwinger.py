@@ -9,10 +9,13 @@ two independent ways:
     residue form  c(X, Y) = sum_m m tr(X_{-m} Y_m)
 
 and the two agree exactly for any truncation K >= max band, because the
-off-diagonal blocks only couple modes within one band of the cut.  The
+off-diagonal blocks only couple modes within one band of the cut; the trace
+form is therefore evaluated at that band, whatever K is asked for.  The
 central extension bracket, the Dirac defect [D, M_X] = -i M_{X'} (D the
-mode-number operator, X' the theta-derivative with (X')_m = i m X_m), and
-the defect curvature F(X, Y) = [DX, DY] - D[X, Y] round out the toolkit.
+diagonal mode-number operator, X' the theta-derivative with
+(X')_m = i m X_m), and the defect curvature F(X, Y) = [DX, DY] - D[X, Y]
+round out the toolkit.  Since D is diagonal, [D, M] is formed entrywise as
+(s - r) M_{sr}, never as a matrix product.
 """
 
 from dataclasses import dataclass
@@ -160,22 +163,21 @@ def block_operator(X, K):
     return BlockOperator(K, N, mat)
 
 
-def mode_number_operator(K, N):
-    """D = diagonal mode-number operator on the truncated space."""
-    return np.kron(np.diag(np.arange(-K, K, dtype=float)), np.eye(N))
-
-
 def schwinger_trace(X, Y, K, allow_truncated=False):
     """Tr((M_X)_{-+}(M_Y)_{+-} - (M_Y)_{-+}(M_X)_{+-}) at truncation K.
 
-    Exact (K-independent) once K >= max(band X, band Y); below that the
-    call raises TruncationTooSmall unless allow_truncated is set, in which
-    case the non-converged value is returned.
+    Exact (K-independent) once K >= threshold = max(band X, band Y, 1):
+    the off-diagonal blocks only hold modes within one band of the cut, so
+    the operators are built at truncation min(K, threshold) and the cost
+    does not grow with K.  Below the threshold the call raises
+    TruncationTooSmall unless allow_truncated is set, in which case the
+    non-converged value at K is returned.
     """
     threshold = max(X.band, Y.band, 1)
     if K < threshold and not allow_truncated:
         raise TruncationTooSmall(
             f"truncation {K} below the exactness threshold {threshold}")
+    K = min(K, threshold)
     bx, by = block_operator(X, K), block_operator(Y, K)
     return complex(np.trace(bx.minus_plus @ by.plus_minus
                             - by.minus_plus @ bx.plus_minus))
@@ -233,10 +235,20 @@ class DiracDefect:
     interior_deviation: float
 
 
+def _mode_numbers(K, N):
+    """The diagonal of D: the mode of each coordinate of the truncated space."""
+    return np.repeat(np.arange(-K, K), N)
+
+
 def _interior_slice(matrix, K, N, window):
-    idx = [(m + K) * N + a for m in range(-K, K) if abs(m) <= window
-           for a in range(N)]
+    idx = np.flatnonzero(np.abs(_mode_numbers(K, N)) <= window)
     return matrix[np.ix_(idx, idx)]
+
+
+def _commutator(d_rows, m, d_cols):
+    """[D, M] restricted to the given rows and columns of D's diagonal:
+    entry (s, r) is (d_s - d_r) M_sr, as each row of D M has one term."""
+    return d_rows[:, None] * m - m * d_cols
 
 
 def dirac_defect(X, K):
@@ -249,9 +261,8 @@ def dirac_defect(X, K):
         raise TruncationTooSmall(
             f"truncation {K} too small for band {X.band} (need K >= band+1)")
     N = X.size
-    d = mode_number_operator(K, N)
-    m = block_operator(X, K).matrix
-    commutator = d @ m - m @ d
+    d = _mode_numbers(K, N)
+    commutator = _commutator(d, block_operator(X, K).matrix, d)
     predicted = -1j * block_operator(X.derivative(), K).matrix
     window = K - X.band
     dev = float(np.max(np.abs(_interior_slice(commutator - predicted, K, N, window)))) \
@@ -272,7 +283,9 @@ def defect_curvature(X, Y, K):
 
     Products widen the band, so K >= 2*max(band) + 1 is required and only
     modes with |mode| <= K - 2*max(band) are kept; there the matrix equals
-    its untruncated value.
+    its untruncated value.  Only those interior rows and columns are
+    computed: the interior rows of [D, M_X] times the interior columns of
+    [D, M_Y], and so on.
     """
     mb = max(X.band, Y.band)
     if K < 2 * mb + 1:
@@ -280,13 +293,21 @@ def defect_curvature(X, Y, K):
             f"truncation {K} too small for bands {X.band},{Y.band} "
             f"(need K >= {2 * mb + 1})")
     N = X.size
-    d = mode_number_operator(K, N)
+    window = K - 2 * mb
+    d = _mode_numbers(K, N)
+    inner = np.flatnonzero(np.abs(d) <= window)
+    di = d[inner]
     mx = block_operator(X, K).matrix
     my = block_operator(Y, K).matrix
-    dx = d @ mx - mx @ d
-    dy = d @ my - my @ d
-    mxy = block_operator(X.bracket(Y), K).matrix
-    full = dx @ dy - dy @ dx - (d @ mxy - mxy @ d)
-    window = K - 2 * mb
+    mxy = block_operator(X.bracket(Y), K).matrix[np.ix_(inner, inner)]
+
+    def rows(m):  # interior rows of [D, M]
+        return _commutator(di, m[inner], d)
+
+    def cols(m):  # interior columns of [D, M]
+        return _commutator(d, m[:, inner], di)
+
+    matrix = rows(mx) @ cols(my) - rows(my) @ cols(mx) \
+        - _commutator(di, mxy, di)
     modes = tuple(m for m in range(-K, K) if abs(m) <= window)
-    return DefectCurvature(_interior_slice(full, K, N, window), window, modes)
+    return DefectCurvature(matrix, window, modes)

@@ -5,7 +5,7 @@ from gerbelab.connection import (BundleData, SampledForm, chern_number,
                                  classifying_point, curvature, gauge_residual,
                                  local_connection, radial_profile,
                                  trivial_interval_bundle, two_arc_circle,
-                                 two_chart_sphere)
+                                 two_chart_sphere, _interpolate)
 from gerbelab.errors import (NotClosedSurface, PointOutsideCharts)
 from oracles import winding_number
 
@@ -196,6 +196,56 @@ def test_gauge_residual_second_order():
         values[res] = gauge_residual(two_chart_sphere(2, resolution=res), 0, 1)
     assert values[100] / values[200] >= 3.5
     assert values[200] / values[400] >= 3.5
+
+
+def full_grid_gauge_residual(data, k, l):
+    """The gauge residual evaluated on all of chart l's grid, then masked."""
+    base = data.base
+    chart_l = base.charts[l]
+    om = base.overlaps[(k, l)]
+    mask = np.asarray(om.mask(*chart_l.grid), dtype=bool)
+    a_l = local_connection(data, l)
+    a_k = local_connection(data, k)
+    f_l = curvature(data, a_l)
+    f_k = curvature(data, a_k)
+    mapped = om.coords(*chart_l.grid)
+    jac = om.jacobian(*chart_l.grid)
+    h = data.transition_values(l, k)
+    h_inv = np.linalg.inv(h)
+    interp_k = [_interpolate(base.charts[k], a_k.components[b], *mapped)
+                for b in range(2)]
+    worst = 0.0
+    for a in range(2):
+        pulled = sum(jac[b][a][..., None, None] * interp_k[b] for b in range(2))
+        dh = np.gradient(h, chart_l.spacing[a], axis=a, edge_order=2)
+        rhs = h_inv @ pulled @ h + h_inv @ dh
+        dev = np.abs(a_l.components[a] - rhs).max(axis=(-2, -1))
+        worst = max(worst, float(np.where(mask, dev, 0.0).max()))
+    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+    pulled_f = det[..., None, None] * _interpolate(base.charts[k],
+                                                   f_k.components, *mapped)
+    rhs_f = h_inv @ pulled_f @ h
+    dev_f = np.abs(f_l.components - rhs_f).max(axis=(-2, -1))
+    return max(worst, float(np.where(mask, dev_f, 0.0).max()))
+
+
+@pytest.mark.parametrize("resolution", [40, 80])
+def test_gauge_residual_equals_full_grid_reference(resolution):
+    for clutching in range(-2, 3):
+        data = two_chart_sphere(clutching, resolution=resolution)
+        for k, l in ((0, 1), (1, 0)):
+            assert gauge_residual(data, k, l) == \
+                full_grid_gauge_residual(data, k, l)
+
+
+def test_corner_corruption_outside_the_annulus_is_not_read():
+    data = two_chart_sphere(1, resolution=40)
+    before = [gauge_residual(data, 0, 1), gauge_residual(data, 1, 0)]
+    a_north = local_connection(data, 0).components
+    for k, i in ((0, 1), (1, 0)):
+        data.corrupt_sample(k, i, (0, 0), 1.5)
+    assert not np.array_equal(local_connection(data, 0).components, a_north)
+    assert [gauge_residual(data, 0, 1), gauge_residual(data, 1, 0)] == before
 
 
 def test_corrupted_sample_detected():

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gerbelab import cli
 from gerbelab import io as gio
-from gerbelab.errors import ProblemFileError
+from gerbelab.errors import GridTooCoarse, ProblemFileError
 
 SAMPLES = Path(__file__).parent.parent / "sample_inputs"
 
@@ -54,6 +55,12 @@ def test_parse_sample_bundle():
     assert options["clutching"] == 1
     data = build(resolution=24)
     assert data.base.chart_count == 2
+
+
+def test_bundle_build_keeps_an_explicit_zero_resolution():
+    build, _ = gio.parse_bundle(str(SAMPLES / "bundle_sphere_degree1.yaml"))
+    with pytest.raises(GridTooCoarse):
+        build(resolution=0)
 
 
 def test_bad_yaml_rejected(tmp_path):
@@ -198,6 +205,34 @@ def test_cli_schwinger_truncation_override():
     proc = run_cli("schwinger", "--mode", "trace", "--random", "2,4",
                    "--seed", "0", "--truncation", "2", "--allow-truncated")
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("mode", ["trace", "defect", "curvature"])
+@pytest.mark.parametrize("truncation", ["0", "-1"])
+def test_cli_schwinger_explicit_truncation_is_kept(mode, truncation, capsys):
+    code = cli.main(["schwinger", "--mode", mode, "--random", "2,3",
+                     "--truncation", truncation])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"truncation {truncation} " in captured.err
+    assert captured.out == ""
+
+
+def test_cli_schwinger_zero_truncation_allowed_truncated_exits_3(capsys):
+    code = cli.main(["schwinger", "--mode", "trace", "--random", "2,3",
+                     "--truncation", "0", "--allow-truncated"])
+    assert code == 3
+    assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0", "-4"])
+def test_cli_chern_explicit_grid_is_kept(grid, capsys):
+    code = cli.main(["chern", str(SAMPLES / "bundle_sphere_degree1.yaml"),
+                     "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "needs >= 3 points" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_chern(tmp_path):

@@ -1,18 +1,36 @@
 import numpy as np
 import pytest
 
+from gerbelab import schwinger
 from gerbelab.schwinger import (BlockOperator, CentralElement, LoopPolynomial,
                                 block_operator, cocycle_identity_defect,
                                 defect_curvature, dirac_defect,
                                 extension_bracket, jacobi_defect, loop_scale,
-                                mode_number_operator, schwinger_residue,
-                                schwinger_trace, _interior_slice)
+                                schwinger_residue, schwinger_trace,
+                                _interior_slice)
 from gerbelab.errors import ShapeMismatch, TruncationTooSmall
 from oracles import toeplitz_assembly
 
 
 def rand_loop(rng, size, band):
     return LoopPolynomial.random(rng, size, band)
+
+
+# Dense oracles: the formulas as written, on the full truncated space.
+
+def dense_trace(x, y, K):
+    bx, by = block_operator(x, K), block_operator(y, K)
+    return complex(np.trace(bx.minus_plus @ by.plus_minus
+                            - by.minus_plus @ bx.plus_minus))
+
+
+def dense_mode_operator(K, N):
+    return np.kron(np.diag(np.arange(-K, K, dtype=float)), np.eye(N))
+
+
+def dense_commutator(K, m):
+    d = dense_mode_operator(K, m.shape[0] // (2 * K))
+    return d @ m - m @ d
 
 
 # --- block operator --------------------------------------------------------
@@ -94,6 +112,54 @@ def test_truncation_guard():
         schwinger_trace(x, y, 3)
     value = schwinger_trace(x, y, 3, allow_truncated=True)
     assert isinstance(value, complex)
+
+
+def test_trace_matches_dense_formula_and_is_equal_across_truncations():
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        b = int(rng.integers(1, 5))
+        x, y = rand_loop(rng, n, b), rand_loop(rng, n, int(rng.integers(0, b + 1)))
+        if rng.integers(2):
+            x, y = y, x
+        scale = loop_scale(x, y)
+        values = [schwinger_trace(x, y, k) for k in (b, b + 1, 4 * b)]
+        for k, value in zip((b, b + 1, 4 * b), values):
+            assert abs(value - dense_trace(x, y, k)) <= 1e-12 * scale
+        assert values[1] == values[0] and values[2] == values[0]
+
+
+def test_trace_builds_operators_at_the_band(monkeypatch):
+    rng = np.random.default_rng(18)
+    x, y = rand_loop(rng, 2, 3), rand_loop(rng, 2, 2)
+    seen = []
+    real = schwinger.block_operator
+
+    def spy(loop, K):
+        seen.append(K)
+        return real(loop, K)
+
+    monkeypatch.setattr(schwinger, "block_operator", spy)
+    for k in (3, 4, 12):
+        schwinger_trace(x, y, k)
+    schwinger_trace(x, y, 2, allow_truncated=True)
+    assert seen == [3] * 6 + [2, 2]
+    seen.clear()
+    constant = LoopPolynomial(2, {0: np.eye(2)})
+    schwinger_trace(constant, constant, 5)
+    assert seen == [1, 1]
+
+
+def test_truncated_trace_matches_dense_formula():
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        n = int(rng.integers(1, 4))
+        b = int(rng.integers(2, 6))
+        x, y = rand_loop(rng, n, b), rand_loop(rng, n, b)
+        scale = loop_scale(x, y)
+        for k in range(1, b):
+            value = schwinger_trace(x, y, k, allow_truncated=True)
+            assert abs(value - dense_trace(x, y, k)) <= 1e-12 * scale
 
 
 def test_bilinearity_and_antisymmetry_of_residue():
@@ -195,6 +261,18 @@ def test_interior_equality_random():
         assert result.window == 3
 
 
+def test_dirac_commutator_equals_dense_products():
+    rng = np.random.default_rng(20)
+    for _ in range(15):
+        n = int(rng.integers(1, 4))
+        b = int(rng.integers(0, 5))
+        loop = rand_loop(rng, n, b)
+        for k in range(b + 1, b + 4):
+            m = block_operator(loop, k).matrix
+            got = dirac_defect(loop, k).commutator
+            assert np.array_equal(got, dense_commutator(k, m))
+
+
 def test_dirac_truncation_guard():
     loop = LoopPolynomial(1, {2: [[1.0]]})
     with pytest.raises(TruncationTooSmall):
@@ -249,6 +327,28 @@ def test_matches_closed_form():
         closed_interior = _interior_slice(closed, k, x.size, result.window)
         dev = np.max(np.abs(result.matrix - closed_interior))
         assert dev <= 1e-10 * loop_scale(x, y)
+
+
+def test_curvature_matches_dense_products_on_the_interior():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3):
+        for b in (1, 2, 3):
+            x = rand_loop(rng, n, b)
+            y = rand_loop(rng, n, int(rng.integers(0, b + 1)))
+            if rng.integers(2):
+                x, y = y, x
+            scale = loop_scale(x, y)
+            for k in range(2 * b + 1, 2 * b + 5):
+                mx = block_operator(x, k).matrix
+                my = block_operator(y, k).matrix
+                dx, dy = dense_commutator(k, mx), dense_commutator(k, my)
+                full = dx @ dy - dy @ dx \
+                    - dense_commutator(k, block_operator(x.bracket(y), k).matrix)
+                result = defect_curvature(x, y, k)
+                expected = _interior_slice(full, k, n, k - 2 * b)
+                assert result.window == k - 2 * b
+                assert result.matrix.shape == expected.shape
+                assert np.max(np.abs(result.matrix - expected)) <= 1e-12 * scale
 
 
 def test_curvature_truncation_guard():
