@@ -1,5 +1,15 @@
 """gerbelab: twisted Cech cohomology, lifting gerbe obstructions, Schwinger
-cocycles, and discrete Chern-Weil integrals at desk scale."""
+cocycles, and discrete Chern-Weil integrals at desk scale.
+
+``import gerbelab`` loads no numpy.  The exact layers (nerve, coeffs, cech,
+lifting) are imported here and use numpy only inside two floating-point
+helpers: the real least-squares solve and the gerbe-module check.  The
+floating-point layers, ``connection`` and ``schwinger``, load with numpy the
+first time one of their names is used, e.g. by
+``from gerbelab import schwinger_trace``.
+"""
+
+import importlib
 
 from .cech import (BocksteinResult, Certificate, CoboundaryResult, Cochain,
                    CohomologyGroup, TwistedLocalSystem, bockstein_dd, cochain,
@@ -10,19 +20,36 @@ from .coeffs import (Automorphism, CentralExtension, CoefficientGroup,
                      FiniteGroup, SemidirectElement, cyclic_central_extension,
                      semidirect_group, semidirect_inv, semidirect_mul,
                      verify_extension)
-from .connection import (BundleData, Chart, ChartedBase, OverlapMap,
-                         SampledForm, chern_number, classifying_point,
-                         curvature, gauge_residual, local_connection,
-                         two_arc_circle, two_chart_sphere)
 from .lifting import (CocycleReport, LiftChoice, ObstructionResult,
                       TransitionData, TrivializeResult, change_lifts,
                       check_gerbe_module, check_twisted_cocycle,
                       lifts_via_section, obstruction, trivialize)
 from .nerve import Nerve, build_nerve, faces, random_nerve, simplices
-from .schwinger import (BlockOperator, CentralElement, DefectCurvature,
-                        DiracDefect, LoopPolynomial, block_operator,
-                        cocycle_identity_defect, defect_curvature,
-                        dirac_defect, extension_bracket, jacobi_defect,
-                        loop_scale, schwinger_residue, schwinger_trace)
 
 __version__ = "0.1.0"
+
+# Name -> the floating-point module that defines it, resolved on first access
+# by __getattr__ (PEP 562); each module's own name maps to itself.
+_LAZY = {name: module for module, names in (
+    ("connection", "connection BundleData Chart ChartedBase OverlapMap "
+                   "SampledForm chern_number classifying_point curvature "
+                   "gauge_residual local_connection two_arc_circle "
+                   "two_chart_sphere"),
+    ("schwinger", "schwinger BlockOperator CentralElement DefectCurvature "
+                  "DiracDefect LoopPolynomial block_operator "
+                  "cocycle_identity_defect defect_curvature dirac_defect "
+                  "extension_bracket jacobi_defect loop_scale "
+                  "schwinger_residue schwinger_trace"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f"{__name__}.{module}")
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__():  # list the lazy names too, as when they were imported eagerly
+    return sorted(set(globals()) | set(_LAZY))

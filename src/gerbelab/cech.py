@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-import numpy as np
-
 from . import snf as _snf
 from .coeffs import CIRCLE, INTEGERS, MOD, NEGATION, REALS, CoefficientGroup
 from .errors import (DegreeOverflow, LiftNotIntegral, NotACocycle,
@@ -325,6 +323,7 @@ def is_coboundary(z, sys):
 
 
 def _real_is_coboundary(z, sys):
+    import numpy as np
     k = z.degree
     a = np.array(sys.delta_matrix(k - 1), dtype=float)
     b = np.array(z.values, dtype=float)

@@ -4,15 +4,18 @@ Reports are plain ``key: value`` lines with fixed float formatting, so a
 rerun on the same inputs is byte-identical; ``--machine-readable`` emits
 the same data as sorted JSON.  Exit codes: 0 success, 2 parse/validation
 failure, 3 mathematical invariant violation.
+
+``cohomology`` and ``obstruction`` compute in exact integer arithmetic and
+never import numpy.  numpy, ``schwinger`` and ``connection`` are imported
+inside the floating-point commands (``schwinger``, ``chern``, ``verify``)
+that use them, so importing this module stays numpy-free.
 """
 
 import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import cech, connection, io, lifting, models, nerve as nerve_mod, schwinger
+from . import cech, io, lifting, models, nerve as nerve_mod
 from .coeffs import (Automorphism, FiniteGroup, SemidirectElement,
                      cyclic_central_extension, semidirect_group, semidirect_mul,
                      verify_extension)
@@ -127,6 +130,11 @@ def _load_loops(args, count):
             size, band = (int(x) for x in args.random.split(","))
         except ValueError as exc:
             raise ProblemFileError("--random wants 'SIZE,BAND'") from exc
+        if size < 1 or band < 0:
+            raise ProblemFileError(
+                f"--random wants SIZE >= 1 and BAND >= 0, got {args.random!r}")
+        import numpy as np
+        from . import schwinger
         rng = np.random.default_rng(args.seed)
         return [schwinger.LoopPolynomial.random(rng, size, band)
                 for _ in range(count)], "random"
@@ -141,6 +149,8 @@ _MODE_ARITY = {"trace": 2, "residue": 2, "identity": 3, "jacobi": 3,
 
 
 def cmd_schwinger(args):
+    import numpy as np
+    from . import schwinger
     report = Report(f"schwinger-{args.mode}")
     count = _MODE_ARITY[args.mode]
     loops, source = _load_loops(args, count)
@@ -208,6 +218,7 @@ def cmd_schwinger(args):
 
 
 def cmd_chern(args):
+    from . import connection
     report = Report("chern")
     _input_line(report, "bundle", args.bundle)
     build, options = io.parse_bundle(args.bundle)
@@ -327,6 +338,7 @@ def _suite_lifting(rng):
 
 
 def _suite_schwinger(rng):
+    from . import schwinger
     for _ in range(10):
         X = schwinger.LoopPolynomial.random(rng, 2, 3)
         Y = schwinger.LoopPolynomial.random(rng, 2, 3)
@@ -340,6 +352,7 @@ def _suite_schwinger(rng):
 
 
 def _suite_connection(rng):
+    from . import connection
     data = connection.two_chart_sphere(1, resolution=120)
     _check(data.partition_report()[1])
     _check(data.transition_report()[1])
@@ -349,6 +362,7 @@ def _suite_connection(rng):
 
 
 def cmd_verify(args):
+    import numpy as np
     report = Report("verify")
     report.add("seed", args.seed)
     suites = [("nerve", _suite_nerve), ("cech", _suite_cech),

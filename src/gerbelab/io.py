@@ -10,17 +10,14 @@ example per kind under sample_inputs/.
 import hashlib
 import os
 
-import numpy as np
 import yaml
 
 from .cech import TwistedLocalSystem
 from .coeffs import (Automorphism, CentralExtension, CoefficientGroup,
                      FiniteGroup)
-from .connection import two_chart_sphere
 from .errors import ProblemFileError
 from .lifting import LiftChoice, TransitionData
 from .nerve import build_nerve
-from .schwinger import LoopPolynomial
 
 FORMAT_VERSION = "v1"
 KINDS = ("nerve", "system", "transition", "extension", "loop", "lifts", "bundle")
@@ -200,6 +197,8 @@ def parse_lifts(path, nerve):
 
 
 def parse_loop(path):
+    import numpy as np
+    from .schwinger import LoopPolynomial
     doc = load_document(path)
     if doc["kind"] != "loop":
         raise ProblemFileError(f"{path}: expected a loop file")
@@ -225,6 +224,7 @@ def parse_loop(path):
 
 def parse_bundle(path):
     """Returns (BundleData, options dict with resolution/corruption info)."""
+    from .connection import two_chart_sphere
     doc = load_document(path)
     if doc["kind"] != "bundle":
         raise ProblemFileError(f"{path}: expected a bundle file")

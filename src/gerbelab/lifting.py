@@ -15,8 +15,6 @@ satisfying the strict cocycle condition exist.
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import cech
 from .cech import Certificate, Cochain, TwistedLocalSystem
 from .errors import (CocycleIdentityViolated, LiftMismatch, NotACocycle,
@@ -252,6 +250,7 @@ def check_gerbe_module(phi, a, sys, tol=1e-9):
     ``phi`` maps ascending edges to invertible matrices (phi_ji is the
     inverse); ``a`` is a circle-valued 2-cochain acting by scalars.
     """
+    import numpy as np
     nerve = sys.nerve
     mats = {}
     shape = None

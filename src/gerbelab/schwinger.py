@@ -88,6 +88,9 @@ class LoopPolynomial:
 
     @classmethod
     def random(cls, rng, size, band, skew=False):
+        if size < 1 or band < 0:
+            raise ValueError(f"random loop wants size >= 1 and band >= 0, "
+                             f"got size {size}, band {band}")
         coeffs = {}
         for m in range(-band, band + 1):
             coeffs[m] = rng.standard_normal((size, size)) \

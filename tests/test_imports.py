@@ -1,0 +1,105 @@
+"""The import contract: the exact side never loads numpy.
+
+``import gerbelab`` and ``import gerbelab.cli`` leave numpy, ``connection``
+and ``schwinger`` unloaded, and the ``cohomology`` and ``obstruction``
+commands run to their golden bytes without loading them.  Every check runs
+in a fresh interpreter, since this test session has long imported numpy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from test_golden_cli import CASES, EXIT_CODES, GOLDEN
+
+ROOT = Path(__file__).parent.parent
+FLOAT_MODULES = ("numpy", "gerbelab.connection", "gerbelab.schwinger")
+
+# Every name gerbelab/__init__ exported when it imported all layers eagerly,
+# by defining module; the modules themselves were exported too.
+EXPORTS = {
+    "errors": "",
+    "snf": "",
+    "cech": "BocksteinResult Certificate CoboundaryResult Cochain CohomologyGroup "
+            "TwistedLocalSystem bockstein_dd cochain cochain_add cochain_from_dict "
+            "cochain_neg cochain_sub coboundary cohomology is_coboundary is_cocycle "
+            "u1_is_coboundary zero_cochain",
+    "coeffs": "Automorphism CentralExtension CoefficientGroup FiniteGroup "
+              "SemidirectElement cyclic_central_extension semidirect_group "
+              "semidirect_inv semidirect_mul verify_extension",
+    "connection": "BundleData Chart ChartedBase OverlapMap SampledForm chern_number "
+                  "classifying_point curvature gauge_residual local_connection "
+                  "two_arc_circle two_chart_sphere",
+    "lifting": "CocycleReport LiftChoice ObstructionResult TransitionData "
+               "TrivializeResult change_lifts check_gerbe_module "
+               "check_twisted_cocycle lifts_via_section obstruction trivialize",
+    "nerve": "Nerve build_nerve faces random_nerve simplices",
+    "schwinger": "BlockOperator CentralElement DefectCurvature DiracDefect "
+                 "LoopPolynomial block_operator cocycle_identity_defect "
+                 "defect_curvature dirac_defect extension_bracket jacobi_defect "
+                 "loop_scale schwinger_residue schwinger_trace",
+}
+
+
+def run_python(script):
+    """Run ``script`` in a fresh interpreter at the repository root and
+    return the JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    loaded = run_python(
+        "import json, sys\n"
+        "import gerbelab, gerbelab.cli\n"
+        f"print(json.dumps([m for m in {FLOAT_MODULES!r} if m in sys.modules]))\n")
+    assert loaded == []
+
+
+def test_exact_commands_load_no_numpy_and_match_golden():
+    cases = {name: argv for name, argv in CASES
+             if name.startswith(("cohomology", "obstruction"))}
+    assert len(cases) == 18
+    out = run_python(
+        "import contextlib, io, json, sys\n"
+        "from gerbelab import cli\n"
+        "runs = {}\n"
+        f"for name, argv in {cases!r}.items():\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        runs[name] = [cli.main(argv), buf.getvalue()]\n"
+        f"loaded = [m for m in {FLOAT_MODULES!r} if m in sys.modules]\n"
+        "print(json.dumps({'runs': runs, 'loaded': loaded}))\n")
+    assert out["loaded"] == []
+    codes = json.loads(EXIT_CODES.read_text())
+    for name, (code, stdout) in out["runs"].items():
+        assert stdout.encode() == (GOLDEN / f"{name}.txt").read_bytes(), name
+        assert code == codes[name], name
+
+
+def test_every_exported_name_resolves_to_its_defining_object():
+    wrong = run_python(
+        "import importlib, json\n"
+        "import gerbelab\n"
+        "from gerbelab import LoopPolynomial, schwinger_trace\n"
+        "wrong = []\n"
+        f"for module, names in {EXPORTS!r}.items():\n"
+        "    names = [module] + names.split()\n"
+        "    got = [getattr(gerbelab, n) for n in names]\n"
+        "    mod = importlib.import_module('gerbelab.' + module)\n"
+        "    want = [mod] + [getattr(mod, n) for n in names[1:]]\n"
+        "    wrong += [n for n, a, b in zip(names, got, want) if a is not b]\n"
+        "if schwinger_trace is not gerbelab.schwinger.schwinger_trace:\n"
+        "    wrong.append('from gerbelab import schwinger_trace')\n"
+        "try:\n"
+        "    gerbelab.no_such_name\n"
+        "    wrong.append('no_such_name')\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "print(json.dumps(wrong))\n")
+    assert wrong == []

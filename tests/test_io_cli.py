@@ -207,6 +207,23 @@ def test_cli_schwinger_truncation_override():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("mode", ["trace", "curvature"])
+@pytest.mark.parametrize("shape", ["2,-1", "0,2", "-1,0"])
+def test_cli_schwinger_empty_random_loops_exit_2(mode, shape, capsys):
+    code = cli.main(["schwinger", "--mode", mode, f"--random={shape}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"--random wants SIZE >= 1 and BAND >= 0, got '{shape}'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", ["trace", "curvature"])
+def test_cli_schwinger_constant_random_loops_are_valid(mode, capsys):
+    assert cli.main(["schwinger", "--mode", mode, "--random=2,0"]) == 0
+    out = capsys.readouterr().out
+    assert "band: 0" in out and "verdict: PASS" in out
+
+
 @pytest.mark.parametrize("mode", ["trace", "defect", "curvature"])
 @pytest.mark.parametrize("truncation", ["0", "-1"])
 def test_cli_schwinger_explicit_truncation_is_kept(mode, truncation, capsys):

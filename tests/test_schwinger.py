@@ -374,6 +374,17 @@ def test_skew_flag():
         LoopPolynomial(2, {1: np.eye(2)}, skew=True)
 
 
+@pytest.mark.parametrize("size,band", [(0, 2), (2, -1), (-1, 0)])
+def test_random_loop_rejects_empty_shapes(size, band):
+    with pytest.raises(ValueError, match="size >= 1 and band >= 0"):
+        LoopPolynomial.random(np.random.default_rng(0), size, band)
+
+
+def test_random_constant_loop():
+    x = LoopPolynomial.random(np.random.default_rng(0), 2, 0)
+    assert x.band == 0 and set(x.coeffs) == {0}
+
+
 def test_bracket_of_skew_loops_is_skew():
     rng = np.random.default_rng(16)
     x = LoopPolynomial.random(rng, 2, 2, skew=True)
