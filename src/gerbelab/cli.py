@@ -219,6 +219,8 @@ def cmd_schwinger(args):
 
 def cmd_chern(args):
     from . import connection
+    if not args.tolerance >= 0:  # also rejects NaN
+        raise ProblemFileError(f"--tolerance {args.tolerance} must be >= 0")
     report = Report("chern")
     _input_line(report, "bundle", args.bundle)
     build, options = io.parse_bundle(args.bundle)
@@ -416,7 +418,7 @@ def build_parser():
     p = sub.add_parser("chern", help="Chern number of a bundle file")
     p.add_argument("bundle")
     p.add_argument("--tolerance", type=float, default=1e-6,
-                   help="transition cocycle residual threshold")
+                   help="transition cocycle residual threshold (>= 0)")
     p.add_argument("--grid", type=int,
                    help="override the bundle file's grid resolution")
     p.set_defaults(func=cmd_chern)

@@ -11,6 +11,8 @@ edges), with curvature F_k = dA_k + (1/2)[A_k, A_k].  On overlaps the
 forms obey the usual gauge transformation rule, which gauge_residual
 measures pointwise; the first Chern number is the partition-weighted
 Riemann sum of (i/2pi) tr F over the charts of a closed oriented surface.
+Line-bundle samples (N = 1) are inverted elementwise, as reciprocals;
+N >= 2 samples go through LAPACK's batched inverse.
 """
 
 from dataclasses import dataclass
@@ -225,8 +227,23 @@ def classifying_point(data, k, point):
     return out
 
 
+def _inverse(h):
+    """Inverse of every N x N sample in h: the reciprocal for N = 1, LAPACK
+    for N >= 2.  A zero line-bundle sample raises LAPACK's LinAlgError."""
+    if h.shape[-1] != 1:
+        return np.linalg.inv(h)
+    if not h.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(invalid="ignore"):  # NaN samples propagate, as in LAPACK
+        return 1 / h
+
+
 def local_connection(data, k):
-    """A_k = sum_i lambda_i h_ki^{-1} dh_ki on chart k's grid."""
+    """A_k = sum_i lambda_i h_ki^{-1} dh_ki on chart k's grid.
+
+    Line-bundle samples are inverted elementwise (h^{-1} = 1/h); N >= 2
+    samples go through LAPACK's batched inverse.
+    """
     chart = data.base.charts[k]
     if any(n < 3 for n in chart.shape):
         raise GridTooCoarse("need >= 3 grid points per axis")
@@ -240,7 +257,7 @@ def local_connection(data, k):
         if not active.any():
             continue
         h = data.transition_values(k, i)
-        h_inv = np.linalg.inv(h)
+        h_inv = _inverse(h)
         weight = np.where(active, lam, 0.0)[..., None, None]
         for axis in range(chart.dims):
             dh = np.gradient(h, chart.spacing[axis], axis=axis, edge_order=2)
@@ -321,7 +338,7 @@ def gauge_residual(data, k, l):
     jac = om.jacobian(*points)  # jac[b][a] = d(mapped_b)/d(x_a)
     h_full = data.transition_values(l, k)  # h_lk on chart l
     h = h_full[at]
-    h_inv = np.linalg.inv(h)
+    h_inv = _inverse(h)
     interp_k = [_interpolate(base.charts[k], a_k.components[b], *mapped)
                 for b in range(2)]
     worst = 0.0

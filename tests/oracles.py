@@ -4,8 +4,9 @@ Everything here is deliberately written along a different path from the
 package code: coboundary matrices are assembled by direct subset
 enumeration, Smith invariants come from sympy, mod-p dimensions from a
 plain Gaussian elimination, product cohomology from the Kuenneth formula,
-Toeplitz blocks from a double loop over mode pairs, and the untwisted
-lifting obstruction from a from-scratch formula.
+Toeplitz blocks from a double loop over mode pairs, the untwisted
+lifting obstruction from a from-scratch formula, and cup products from
+the Alexander-Whitney front-face/back-face rule.
 """
 
 from itertools import combinations
@@ -196,6 +197,17 @@ def untwisted_obstruction(nerve, g_edges, section, hat_mul, hat_inv, projection)
     for (i, j, k) in levels[2]:
         out[(i, j, k)] = hat_mul[hat_mul[lift(i, j)][lift(j, k)]][hat_inv[lift(i, k)]]
     return out
+
+
+def cup_product(nerve, p, a, q, b):
+    """Alexander-Whitney cup product of a p-cochain a and a q-cochain b.
+
+    a, b: dicts ascending simplex -> integer (absent simplices are 0).
+    (a cup b)(v_0 .. v_{p+q}) = a(v_0 .. v_p) b(v_p .. v_{p+q}); returns a
+    dict over every (p+q)-simplex.
+    """
+    levels = simplex_lists(nerve)
+    return {s: a.get(s[:p + 1], 0) * b.get(s[p:], 0) for s in levels[p + q]}
 
 
 def winding_number(values):

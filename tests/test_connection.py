@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from gerbelab import connection
 from gerbelab.connection import (BundleData, SampledForm, chern_number,
                                  classifying_point, curvature, gauge_residual,
                                  local_connection, radial_profile,
                                  trivial_interval_bundle, two_arc_circle,
-                                 two_chart_sphere, _interpolate)
-from gerbelab.errors import (NotClosedSurface, PointOutsideCharts)
+                                 two_chart_sphere, _interpolate, _inverse)
+from gerbelab.errors import (GridTooCoarse, NotClosedSurface,
+                             PointOutsideCharts)
 from oracles import winding_number
 
 
@@ -140,6 +142,68 @@ def test_partition_shift_leaves_connection_alone():
             assert np.allclose(form.components, reference, atol=1e-13)
 
 
+# --- elementwise inverse of line-bundle samples -----------------------------
+
+def lapack_reference(monkeypatch, fn):
+    """fn() evaluated with every transition sample inverted by LAPACK."""
+    with monkeypatch.context() as m:
+        m.setattr(connection, "_inverse", np.linalg.inv)
+        return fn()
+
+
+@pytest.mark.parametrize("resolution", [50, 100, 200, 400])
+def test_elementwise_inverse_matches_lapack(monkeypatch, resolution):
+    for clutching in range(-2, 4):
+        data = two_chart_sphere(clutching, resolution=resolution)
+        for k in (0, 1):
+            a = local_connection(data, k).components
+            ref = lapack_reference(monkeypatch,
+                                   lambda: local_connection(data, k).components)
+            assert np.max(np.abs(a - ref)) <= 2e-15 * np.max(np.abs(ref))
+        ref = lapack_reference(monkeypatch, lambda: chern_number(data))
+        assert abs(chern_number(data) - ref) <= 1e-13
+        value = gauge_residual(data, 0, 1)
+        ref = lapack_reference(monkeypatch, lambda: gauge_residual(data, 0, 1))
+        assert abs(value - ref) <= 1e-12
+        if clutching == 0:
+            assert value <= 1e-12
+
+
+@pytest.mark.parametrize("clutching", [-1, 2])
+def test_rank_two_bundle_is_line_bundle_times_identity(clutching):
+    line = two_chart_sphere(clutching, resolution=100)
+    rank2 = two_chart_sphere(clutching, resolution=100, size=2)
+    for k in (0, 1):
+        a1 = local_connection(line, k).components
+        a2 = local_connection(rank2, k).components
+        assert np.max(np.abs(a2 - a1 * np.eye(2))) <= \
+            2e-15 * np.max(np.abs(a1))
+    value = chern_number(rank2)
+    assert abs(value - 2 * chern_number(line)) <= 1e-12
+    assert round(value) == 2 * clutching
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_zero_transition_sample_is_singular(size):
+    data = two_chart_sphere(1, resolution=60, size=size)
+    data.corrupt_sample(0, 1, (30, 45), 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        local_connection(data, 0)
+    with pytest.raises(np.linalg.LinAlgError):
+        gauge_residual(data, 0, 1)
+
+
+def test_nan_sample_matters_only_inside_partition_support():
+    """A NaN sample where lambda = 0 is never read (and raises no warning);
+    inside the support it makes the connection undefined."""
+    data = two_chart_sphere(1, resolution=101)
+    data.corrupt_sample(0, 1, (50, 50), np.nan)  # the north pole, lambda_1 = 0
+    assert np.isfinite(local_connection(data, 0).components).all()
+    data.corrupt_sample(0, 1, (50, 80), np.nan)
+    with pytest.raises(GridTooCoarse):
+        local_connection(data, 0)
+
+
 # --- curvature --------------------------------------------------------------
 
 def test_zero_connection_zero_curvature():
@@ -211,7 +275,7 @@ def full_grid_gauge_residual(data, k, l):
     mapped = om.coords(*chart_l.grid)
     jac = om.jacobian(*chart_l.grid)
     h = data.transition_values(l, k)
-    h_inv = np.linalg.inv(h)
+    h_inv = _inverse(h)
     interp_k = [_interpolate(base.charts[k], a_k.components[b], *mapped)
                 for b in range(2)]
     worst = 0.0

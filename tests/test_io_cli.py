@@ -292,6 +292,23 @@ def test_cli_bad_tolerance_exits_2(tmp_path, kind, tolerance):
     assert "tolerance" in proc.stderr
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_cli_chern_bad_tolerance_exits_2(tolerance):
+    proc = run_cli("chern", str(SAMPLES / "bundle_sphere_degree1.yaml"),
+                   "--grid", "40", "--tolerance", tolerance)
+    assert proc.returncode == 2
+    assert "--tolerance" in proc.stderr
+
+
+def test_cli_chern_zero_tolerance_is_valid(tmp_path):
+    path = tmp_path / "bundle.yaml"
+    path.write_text("kind: bundle\nformat: v1\nmodel: two-chart-sphere\n"
+                    "clutching: 0\nresolution: 40\n")
+    proc = run_cli("chern", str(path), "--tolerance", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert "cocycle-residual: 0" in proc.stdout
+
+
 def test_cli_missing_file_exits_2():
     proc = run_cli("cohomology", "no_such_file.yaml", "--degree", "0")
     assert proc.returncode == 2

@@ -13,7 +13,8 @@ from gerbelab.lifting import (LiftChoice, TransitionData, change_lifts,
                               check_gerbe_module, check_twisted_cocycle,
                               lifts_via_section, obstruction, trivialize)
 from gerbelab.nerve import random_nerve
-from oracles import untwisted_obstruction
+from oracles import (coboundary_matrix, cup_product, gf2_rank, simplex_lists,
+                     untwisted_obstruction)
 
 Z2 = FiniteGroup.cyclic(2)
 MOD2 = CoefficientGroup.integers_mod(2)
@@ -340,3 +341,70 @@ def test_rank_one_module_over_rp2_gerbe():
            for e in nerve.simplices[1]}
     report = check_gerbe_module(phi, a, circle_sys)
     assert report.ok, report.message()
+
+
+# --- cup-product oracle for the Z2-twisted obstruction ----------------------
+
+def rp2_generator_on(nerve, project):
+    """The RP^2 generator c pulled back along a vertex map onto RP^2
+    (degenerate edges get 0), as a dict over the nerve's edges."""
+    gen = dict(zip(models.rp2_nerve().simplices[1],
+                   models.rp2_generator_cocycle().values))
+    return {(i, j): gen.get((project(i), project(j)), 0)
+            for (i, j) in simplex_lists(nerve)[1]}
+
+
+def mod2_coboundary(nerve, k, values):
+    """Is the k-cochain (dict over k-simplices) a mod-2 coboundary?
+    Decided by GF(2) ranks of the oracle's own coboundary matrix."""
+    if k == 0:
+        return not any(v % 2 for v in values.values())
+    d = coboundary_matrix(nerve, k - 1)
+    z = [values.get(s, 0) % 2 for s in simplex_lists(nerve)[k]]
+    return gf2_rank(d) == gf2_rank(np.column_stack([d, z]))
+
+
+def cochain_sum(*cochains):
+    return {s: sum(c[s] for c in cochains) % 2 for s in cochains[0]}
+
+
+@pytest.mark.parametrize("name", ["rp2", "rp2xs1"])
+def test_twisted_obstruction_is_c_cup_c_plus_w1_cup_c(name):
+    """Z/2 -> Z/4 on the RP^2 generator c: untwisted, the obstruction is
+    c cup c up to a mod-2 coboundary, a non-trivial class; twisted by
+    w1 = c (also after a gauge change), it is c cup c + w1 cup c, which
+    vanishes in cohomology."""
+    if name == "rp2":
+        nerve, project = models.rp2_nerve(), (lambda x: x)
+    else:  # ordered product vertex u * 3 + v projects to RP^2 vertex u
+        nerve, project = models.rp2_cross_circle(), (lambda x: x // 3)
+    c = rp2_generator_on(nerve, project)
+    delta1 = coboundary_matrix(nerve, 1)
+    edges, triangles = simplex_lists(nerve)[1], simplex_lists(nerve)[2]
+    assert not np.any(delta1 @ [c[e] for e in edges] % 2)
+    cc = cup_product(nerve, 1, c, 1, c)
+    assert not mod2_coboundary(nerve, 2, cc)
+
+    result = obstruction(TransitionData(nerve, Z2, Automorphism.identity(Z2), c),
+                         cyclic_central_extension(2, 2))
+    o = dict(zip(nerve.simplices[2], result.cochain.values))
+    assert sorted(o) == triangles
+    assert mod2_coboundary(nerve, 2, cochain_sum(o, cc))
+    assert not mod2_coboundary(nerve, 2, o)
+    assert not result.class_result().trivial
+
+    rng = np.random.default_rng(5)
+    signs = [int(rng.integers(2)) for _ in range(nerve.vertex_count)]
+    gauged = {(i, j): (v + signs[i] + signs[j]) % 2 for (i, j), v in c.items()}
+    ext = cyclic_central_extension(2, 2, twist="negation")
+    for w1 in (c, gauged):
+        td = TransitionData(nerve, Z2, Automorphism.negation(Z2), c,
+                            {e: -1 for e, v in w1.items() if v})
+        assert check_twisted_cocycle(td).ok
+        result = obstruction(td, ext)
+        o = dict(zip(nerve.simplices[2], result.cochain.values))
+        wc = cup_product(nerve, 1, w1, 1, c)
+        assert mod2_coboundary(nerve, 2, cochain_sum(o, cc, wc))
+        assert mod2_coboundary(nerve, 2, cochain_sum(cc, wc))
+        assert mod2_coboundary(nerve, 2, o)
+        assert result.class_result().trivial
