@@ -223,9 +223,7 @@ def cmd_chern(args):
         raise ProblemFileError(f"--tolerance {args.tolerance} must be >= 0")
     report = Report("chern")
     _input_line(report, "bundle", args.bundle)
-    build, options = io.parse_bundle(args.bundle)
-    if args.grid is not None:
-        options["resolution"] = args.grid
+    build, options = io.parse_bundle(args.bundle, resolution=args.grid)
     report.add("model", "two-chart-sphere")
     report.add("clutching", options["clutching"])
     data = build(resolution=options["resolution"])
@@ -243,8 +241,9 @@ def cmd_chern(args):
     res = options["resolution"]
     coarse = build(resolution=res // 2)
     report.add(f"gauge-residual-{res // 2}", connection.gauge_residual(coarse, 0, 1))
-    report.add(f"gauge-residual-{res}", connection.gauge_residual(data, 0, 1))
-    value = connection.chern_number(data)
+    forms = [connection.chart_forms(data, k) for k in (0, 1)]
+    report.add(f"gauge-residual-{res}", connection.gauge_residual(data, 0, 1, forms))
+    value = connection.chern_number(data, forms)
     nearest = round(value)
     report.add("chern", value)
     report.add("nearest-integer", nearest)
@@ -420,7 +419,7 @@ def build_parser():
     p.add_argument("--tolerance", type=float, default=1e-6,
                    help="transition cocycle residual threshold (>= 0)")
     p.add_argument("--grid", type=int,
-                   help="override the bundle file's grid resolution")
+                   help="override the bundle file's grid resolution (>= 8)")
     p.set_defaults(func=cmd_chern)
 
     p = sub.add_parser("verify", help="run the module invariant suites")

@@ -11,8 +11,11 @@ edges), with curvature F_k = dA_k + (1/2)[A_k, A_k].  On overlaps the
 forms obey the usual gauge transformation rule, which gauge_residual
 measures pointwise; the first Chern number is the partition-weighted
 Riemann sum of (i/2pi) tr F over the charts of a closed oriented surface.
-Line-bundle samples (N = 1) are inverted elementwise, as reciprocals;
-N >= 2 samples go through LAPACK's batched inverse.
+Line-bundle samples (N = 1) are inverted and multiplied elementwise, and
+their curvature skips the bracket, which vanishes; N >= 2 samples go
+through LAPACK's batched inverse and np.matmul.  Each full-grid array is
+written once: connection terms accumulate in place, and gauge_residual
+interpolates A_u, A_v and F through one shared bilinear stencil.
 """
 
 from dataclasses import dataclass
@@ -238,11 +241,21 @@ def _inverse(h):
         return 1 / h
 
 
+def _product(a, b, out=None):
+    """Product of every N x N sample pair: elementwise for N = 1, where a
+    batched 1 x 1 matmul costs twice as much, np.matmul for N >= 2."""
+    if a.shape[-1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
 def local_connection(data, k):
     """A_k = sum_i lambda_i h_ki^{-1} dh_ki on chart k's grid.
 
-    Line-bundle samples are inverted elementwise (h^{-1} = 1/h); N >= 2
-    samples go through LAPACK's batched inverse.
+    Line-bundle samples are inverted and multiplied elementwise
+    (h^{-1} = 1/h); N >= 2 samples go through LAPACK's batched inverse and
+    np.matmul.  Each term is formed in its gradient's buffer and added only
+    where lambda_i > 0, so samples outside the support never reach A.
     """
     chart = data.base.charts[k]
     if any(n < 3 for n in chart.shape):
@@ -258,11 +271,12 @@ def local_connection(data, k):
             continue
         h = data.transition_values(k, i)
         h_inv = _inverse(h)
-        weight = np.where(active, lam, 0.0)[..., None, None]
+        lam, active = lam[..., None, None], active[..., None, None]
         for axis in range(chart.dims):
-            dh = np.gradient(h, chart.spacing[axis], axis=axis, edge_order=2)
-            comps[axis] += np.where(active[..., None, None],
-                                    weight * (h_inv @ dh), 0.0)
+            term = np.gradient(h, chart.spacing[axis], axis=axis, edge_order=2)
+            _product(h_inv, term, out=term)
+            term *= lam
+            np.add(comps[axis], term, out=comps[axis], where=active)
     if np.isnan(comps).any():
         raise GridTooCoarse(
             "transition samples undefined inside a partition support")
@@ -271,44 +285,63 @@ def local_connection(data, k):
 
 def curvature(data, form):
     """F = dA + (1/2)[A, A]; on a 2D chart the single du^dv component
-    is dA_v/du - dA_u/dv + [A_u, A_v] (the bracket vanishes for N = 1)."""
+    is dA_v/du - dA_u/dv + [A_u, A_v].  For N = 1 the bracket vanishes
+    and is not formed."""
     if form.degree != 1:
         raise ValueError("curvature takes a degree-1 form")
     chart = data.base.charts[form.chart]
     if chart.dims != 2:
         raise NotClosedSurface("curvature is computed on 2D charts")
     au, av = form.components[0], form.components[1]
-    dav_du = np.gradient(av, chart.spacing[0], axis=0, edge_order=2)
-    dau_dv = np.gradient(au, chart.spacing[1], axis=1, edge_order=2)
-    f = dav_du - dau_dv + au @ av - av @ au
+    f = np.gradient(av, chart.spacing[0], axis=0, edge_order=2)
+    f -= np.gradient(au, chart.spacing[1], axis=1, edge_order=2)
+    if f.shape[-1] != 1:
+        f += au @ av
+        f -= av @ au
     return SampledForm(2, form.chart, f)
 
 
-def _interpolate(chart, values, *coords):
-    """Bilinear (or linear in 1D) interpolation of grid samples at points."""
-    idx = []
-    frac = []
-    for axis in range(chart.dims):
+def chart_forms(data, k):
+    """The pair (A_k, F_k): chart k's connection and its curvature."""
+    a = local_connection(data, k)
+    return a, curvature(data, a)
+
+
+def _stencil(chart, u, v):
+    """Bilinear stencil of points (u, v) on a 2D chart: the flat grid
+    indices of the four surrounding corners and their weights, in the
+    order (0, 0), (1, 0), (0, 1), (1, 1).  Points beyond the last cell
+    extrapolate from it."""
+    idx, frac = [], []
+    for axis, x in enumerate((u, v)):
         nodes = chart.nodes[axis]
-        f = (np.asarray(coords[axis]) - nodes[0]) / chart.spacing[axis]
+        f = (np.asarray(x) - nodes[0]) / chart.spacing[axis]
         i0 = np.clip(np.floor(f).astype(int), 0, len(nodes) - 2)
         idx.append(i0)
         frac.append(f - i0)
-    extra = values.ndim - chart.dims
-    if chart.dims == 1:
-        t = frac[0].reshape(frac[0].shape + (1,) * extra)
-        return (1 - t) * values[idx[0]] + t * values[idx[0] + 1]
-    tu = frac[0].reshape(frac[0].shape + (1,) * extra)
-    tv = frac[1].reshape(frac[1].shape + (1,) * extra)
-    v00 = values[idx[0], idx[1]]
-    v10 = values[idx[0] + 1, idx[1]]
-    v01 = values[idx[0], idx[1] + 1]
-    v11 = values[idx[0] + 1, idx[1] + 1]
-    return ((1 - tu) * (1 - tv) * v00 + tu * (1 - tv) * v10
-            + (1 - tu) * tv * v01 + tu * tv * v11)
+    tu, tv = frac
+    step = chart.shape[1]
+    flat = idx[0] * step + idx[1]
+    corners = (flat, flat + step, flat + 1, flat + step + 1)
+    weights = ((1 - tu) * (1 - tv), tu * (1 - tv), (1 - tu) * tv, tu * tv)
+    return corners, weights
 
 
-def gauge_residual(data, k, l):
+def _interpolate(stencil, values):
+    """Grid samples (grid + (N, N)) interpolated by a ``_stencil``."""
+    flat = values.reshape((-1,) + values.shape[2:])
+    out = None
+    for corner, weight in zip(*stencil):
+        term = np.take(flat, corner, axis=0)
+        term *= weight[..., None, None]
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def gauge_residual(data, k, l, forms=None):
     """Max deviation of the two gauge identities on the (k, l) overlap:
 
         A_l = Ad_{h_lk^{-1}} A_k + h_lk^{-1} dh_lk,
@@ -318,7 +351,9 @@ def gauge_residual(data, k, l):
     and compared at the overlap grid points of chart l.  The forms
     themselves are differentiated on the full grids; everything else
     (h_lk, its inverse and derivative, the Jacobian, the interpolated
-    chart-k forms) is evaluated at the overlap points only.
+    chart-k forms) is evaluated at the overlap points only, and one
+    bilinear stencil serves A_u, A_v and F.  ``forms[j]`` may give
+    ``chart_forms(data, j)`` for j = k, l; by default they are computed here.
     """
     base = data.base
     if (k, l) not in base.overlaps or (l, k) not in base.overlaps:
@@ -329,42 +364,42 @@ def gauge_residual(data, k, l):
     if not mask.any():
         raise NoOverlap(f"no usable overlap points between charts {k} and {l}")
     at = np.nonzero(mask)
-    a_l = local_connection(data, l)
-    a_k = local_connection(data, k)
-    f_l = curvature(data, a_l)
-    f_k = curvature(data, a_k)
+    if forms is None:
+        forms = {j: chart_forms(data, j) for j in (l, k)}
+    (a_l, f_l), (a_k, f_k) = forms[l], forms[k]
     points = [axis[at] for axis in chart_l.grid]
     mapped = om.coords(*points)
     jac = om.jacobian(*points)  # jac[b][a] = d(mapped_b)/d(x_a)
     h_full = data.transition_values(l, k)  # h_lk on chart l
     h = h_full[at]
     h_inv = _inverse(h)
-    interp_k = [_interpolate(base.charts[k], a_k.components[b], *mapped)
-                for b in range(2)]
+    stencil = _stencil(base.charts[k], *mapped)
+    interp_k = [_interpolate(stencil, a_k.components[b]) for b in range(2)]
     worst = 0.0
     for a in range(2):
         pulled = sum(jac[b][a][..., None, None] * interp_k[b] for b in range(2))
         dh = np.gradient(h_full, chart_l.spacing[a], axis=a, edge_order=2)[at]
-        rhs = h_inv @ pulled @ h + h_inv @ dh
+        rhs = _product(_product(h_inv, pulled), h) + _product(h_inv, dh)
         dev = np.abs(a_l.components[a][at] - rhs).max(axis=(-2, -1))
         worst = max(worst, float(dev.max()))
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-    pulled_f = det[..., None, None] * _interpolate(base.charts[k],
-                                                   f_k.components, *mapped)
-    rhs_f = h_inv @ pulled_f @ h
+    pulled_f = det[..., None, None] * _interpolate(stencil, f_k.components)
+    rhs_f = _product(_product(h_inv, pulled_f), h)
     dev_f = np.abs(f_l.components[at] - rhs_f).max(axis=(-2, -1))
     return max(worst, float(dev_f.max()))
 
 
-def chern_number(data):
-    """(i/2pi) integral of tr F, by partition-weighted chart sums."""
+def chern_number(data, forms=None):
+    """(i/2pi) integral of tr F, by partition-weighted chart sums.
+    ``forms[k]`` may give ``chart_forms(data, k)`` for every chart k; by
+    default each chart's forms are computed here, one chart at a time."""
     base = data.base
     if not base.closed_surface:
         raise NotClosedSurface(f"{base.name} is not a closed oriented surface")
     total = 0.0 + 0.0j
     for k in range(base.chart_count):
         chart = base.charts[k]
-        f = curvature(data, local_connection(data, k))
+        f = (chart_forms(data, k) if forms is None else forms[k])[1]
         weight = data.partition_values(k, k)
         tr = np.trace(f.components, axis1=-2, axis2=-1)
         cell = chart.spacing[0] * chart.spacing[1]

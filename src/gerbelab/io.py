@@ -222,8 +222,10 @@ def parse_loop(path):
         raise ProblemFileError(f"{path}: bad loop: {exc}") from exc
 
 
-def parse_bundle(path):
-    """Returns (BundleData, options dict with resolution/corruption info)."""
+def parse_bundle(path, resolution=None):
+    """Returns (build, options): ``build(resolution=None)`` makes the
+    BundleData, and options hold the resolution and corruption info.  A
+    given ``resolution`` replaces the file's and meets the same bound."""
     from .connection import two_chart_sphere
     doc = load_document(path)
     if doc["kind"] != "bundle":
@@ -233,13 +235,15 @@ def parse_bundle(path):
         raise ProblemFileError(f"{path}: unknown bundle model {model!r}")
     options = {
         "clutching": int(doc.get("clutching", 0)),
-        "resolution": int(doc.get("resolution", 200)),
+        "resolution": int(doc.get("resolution", 200)) if resolution is None
+        else resolution,
         "inner": float(doc.get("inner", 0.7)),
         "outer": float(doc.get("outer", 1.4)),
         "extent": float(doc.get("extent", 1.6)),
     }
     if options["resolution"] < 8:
-        raise ProblemFileError(f"{path}: resolution too small")
+        raise ProblemFileError(
+            f"{path}: resolution {options['resolution']} too small (need >= 8)")
     corruption = doc.get("corruption")
     if corruption is not None:
         need = {"chart", "other", "index", "factor"}

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from gerbelab import connection
-from gerbelab.connection import (BundleData, SampledForm, chern_number,
-                                 classifying_point, curvature, gauge_residual,
-                                 local_connection, radial_profile,
-                                 trivial_interval_bundle, two_arc_circle,
-                                 two_chart_sphere, _interpolate, _inverse)
+from gerbelab.connection import (BundleData, Chart, SampledForm,
+                                 chart_forms, chern_number, classifying_point,
+                                 curvature, gauge_residual, local_connection,
+                                 radial_profile, trivial_interval_bundle,
+                                 two_arc_circle, two_chart_sphere,
+                                 _interpolate, _inverse, _product, _stencil)
 from gerbelab.errors import (GridTooCoarse, NotClosedSurface,
                              PointOutsideCharts)
+import oracles
 from oracles import winding_number
 
 
@@ -204,6 +206,61 @@ def test_nan_sample_matters_only_inside_partition_support():
         local_connection(data, 0)
 
 
+# --- the pipeline against its full-grid oracle -------------------------------
+
+@pytest.mark.parametrize("resolution", [50, 100, 200, 400])
+@pytest.mark.parametrize("size", [1, 2])
+def test_pipeline_matches_full_grid_oracle(size, resolution):
+    """Equal bits for N = 2; for N = 1 the elementwise products and the
+    skipped bracket move values at rounding level only."""
+    for clutching in range(-2, 4):
+        data = two_chart_sphere(clutching, resolution=resolution, size=size)
+        forms = [chart_forms(data, k) for k in (0, 1)]
+        forms_ref = oracles.full_grid_forms(data)
+        for (a, f), (a_ref, f_ref) in zip(forms, forms_ref):
+            if size == 2:
+                assert np.array_equal(a.components, a_ref)
+                assert np.array_equal(f.components, f_ref)
+            else:
+                scale = max(np.max(np.abs(a_ref)), 1.0)
+                assert np.max(np.abs(a.components - a_ref)) <= 1e-13 * scale
+                scale = max(np.max(np.abs(f_ref)), 1.0)
+                assert np.max(np.abs(f.components - f_ref)) <= 1e-13 * scale
+        chern = chern_number(data, forms)
+        chern_ref = oracles.full_grid_chern_number(data, forms_ref)
+        gauge = gauge_residual(data, 0, 1, forms)
+        gauge_ref = oracles.full_grid_gauge_residual(data, 0, 1, forms_ref)
+        if size == 2:
+            assert chern == chern_ref and gauge == gauge_ref
+        else:
+            assert abs(chern - chern_ref) <= 1e-15
+            assert abs(gauge - gauge_ref) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_explicit_forms_give_the_same_answers(size):
+    data = two_chart_sphere(-1, resolution=60, size=size)
+    forms = [chart_forms(data, k) for k in (0, 1)]
+    assert chern_number(data, forms) == chern_number(data)
+    for k, l in ((0, 1), (1, 0)):
+        assert gauge_residual(data, k, l, forms) == gauge_residual(data, k, l)
+
+
+def test_shared_stencil_matches_per_array_interpolation():
+    """Bit for bit, on a non-square chart, at random points and on the
+    chart's edges, where the upper one clips to the last cell."""
+    chart = Chart("test", [(-1.0, 2.0, 13), (0.5, 1.5, 7)])
+    rng = np.random.default_rng(11)
+    u = np.concatenate([rng.uniform(-1.0, 2.0, 300), [2.0, 2.0, -1.0, 0.3]])
+    v = np.concatenate([rng.uniform(0.5, 1.5, 300), [1.5, 0.9, 1.5, 0.5]])
+    stencil = _stencil(chart, u, v)
+    values = rng.normal(size=chart.shape + (2, 2)) \
+        + 1j * rng.normal(size=chart.shape + (2, 2))
+    for samples in (values, values[..., :1, :1]):
+        assert np.array_equal(_interpolate(stencil, samples),
+                              oracles.bilinear(chart, samples, u, v))
+
+
 # --- curvature --------------------------------------------------------------
 
 def test_zero_connection_zero_curvature():
@@ -268,27 +325,24 @@ def full_grid_gauge_residual(data, k, l):
     chart_l = base.charts[l]
     om = base.overlaps[(k, l)]
     mask = np.asarray(om.mask(*chart_l.grid), dtype=bool)
-    a_l = local_connection(data, l)
-    a_k = local_connection(data, k)
-    f_l = curvature(data, a_l)
-    f_k = curvature(data, a_k)
+    a_l, f_l = chart_forms(data, l)
+    a_k, f_k = chart_forms(data, k)
     mapped = om.coords(*chart_l.grid)
     jac = om.jacobian(*chart_l.grid)
     h = data.transition_values(l, k)
     h_inv = _inverse(h)
-    interp_k = [_interpolate(base.charts[k], a_k.components[b], *mapped)
-                for b in range(2)]
+    stencil = _stencil(base.charts[k], *mapped)
+    interp_k = [_interpolate(stencil, a_k.components[b]) for b in range(2)]
     worst = 0.0
     for a in range(2):
         pulled = sum(jac[b][a][..., None, None] * interp_k[b] for b in range(2))
         dh = np.gradient(h, chart_l.spacing[a], axis=a, edge_order=2)
-        rhs = h_inv @ pulled @ h + h_inv @ dh
+        rhs = _product(_product(h_inv, pulled), h) + _product(h_inv, dh)
         dev = np.abs(a_l.components[a] - rhs).max(axis=(-2, -1))
         worst = max(worst, float(np.where(mask, dev, 0.0).max()))
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-    pulled_f = det[..., None, None] * _interpolate(base.charts[k],
-                                                   f_k.components, *mapped)
-    rhs_f = h_inv @ pulled_f @ h
+    pulled_f = det[..., None, None] * _interpolate(stencil, f_k.components)
+    rhs_f = _product(_product(h_inv, pulled_f), h)
     dev_f = np.abs(f_l.components - rhs_f).max(axis=(-2, -1))
     return max(worst, float(np.where(mask, dev_f, 0.0).max()))
 

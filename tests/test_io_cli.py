@@ -242,13 +242,14 @@ def test_cli_schwinger_zero_truncation_allowed_truncated_exits_3(capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["0", "-4"])
+@pytest.mark.parametrize("grid", ["0", "-4", "3", "5", "6", "7"])
 def test_cli_chern_explicit_grid_is_kept(grid, capsys):
+    """--grid is held to the bundle file's resolution bound (bad input)."""
     code = cli.main(["chern", str(SAMPLES / "bundle_sphere_degree1.yaml"),
                      "--grid", grid])
     captured = capsys.readouterr()
-    assert code == 3
-    assert "needs >= 3 points" in captured.err
+    assert code == 2
+    assert f"resolution {grid} too small" in captured.err
     assert captured.out == ""
 
 
