@@ -2,8 +2,8 @@
 cocycles, and discrete Chern-Weil integrals at desk scale.
 
 ``import gerbelab`` loads no numpy.  The exact layers (nerve, coeffs, cech,
-lifting) are imported here and use numpy only inside two floating-point
-helpers: the real least-squares solve and the gerbe-module check.  The
+lifting) are imported here and use numpy only inside one floating-point
+helper, the gerbe-module check.  The
 floating-point layers, ``connection`` and ``schwinger``, load with numpy the
 first time one of their names is used, e.g. by
 ``from gerbelab import schwinger_trace``.

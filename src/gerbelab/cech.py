@@ -15,16 +15,19 @@ obstructions.
 
 Cohomology over the integers, mod n and the reals is read off the integer
 invariant factors of the coboundaries in exact arithmetic (universal
-coefficients for mod n; the Smith rank for reals).  A circle-valued (R/Z)
-cocycle is a coboundary when one integrality check on its lift to [0,1)
-holds, read off the cached integer Smith form of d_{k-1}; the Bockstein
-route (lift, take the coboundary, read off an integer cocycle: the twisted
-Dixmier-Douady construction) names the class when it does not.  A system
-made by with_coefficients shares its parent's cache of matrices and Smith
-forms when their integer coboundaries agree.
+coefficients for mod n; the Smith rank for reals).  Whether a cocycle is a
+coboundary is read off the cached integer Smith form S d_{k-1} T = D: over
+Z and Z/n in exact arithmetic, over R and R/Z by one rule past the rank,
+where (S z)_i must be a multiple of a period, 0 for R and 1 for R/Z, to
+within tol |S_i|_1 max(1, |z|_inf).  When it is not, the integral row S_i
+is the certificate.  The Bockstein route (lift, take the coboundary, read
+off an integer cocycle: the twisted Dixmier-Douady construction) names a
+circle-valued class that is not trivial.  A system made by
+with_coefficients shares its parent's cache of matrices and Smith forms
+when their integer coboundaries agree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Optional
 
@@ -87,12 +90,16 @@ class TwistedLocalSystem:
         """Integer matrix of the twisted coboundary d_k (rows = (k+1)-simplices).
 
         The leading-face entry is eps_{i0 i1} when the involution is
-        negation and +1 otherwise; face r contributes (-1)^r.
+        negation and +1 otherwise; face r contributes (-1)^r.  d_{-1} is
+        the zero map into the 0-cochains, so degree 0 solves like the rest.
         """
         key = ("delta", k)
         if key not in self._cache:
-            if not 0 <= k <= MAX_DIM:
+            if not -1 <= k <= MAX_DIM:
                 raise DegreeOverflow(f"no coboundary out of degree {k}")
+            if k == -1:
+                self._cache[key] = [[] for _ in self.nerve.simplices[0]]
+                return self._cache[key]
             sources = self.nerve.simplices[k]
             targets = self.nerve.simplices[k + 1] if k < MAX_DIM else ()
             twist_signs = self.coeff.involution == NEGATION
@@ -252,7 +259,7 @@ def cohomology(sys, k):
     if n_k == 0:
         return CohomologyGroup(0, (), kind)
     out = sys.delta_invariants(k)
-    into = sys.delta_invariants(k - 1) if k else ()
+    into = sys.delta_invariants(k - 1)
     free = n_k - len(out) - len(into)
     if kind == INTEGERS:
         return CohomologyGroup(free, tuple(d for d in into if d > 1), kind)
@@ -272,10 +279,11 @@ def cohomology(sys, k):
 class Certificate:
     """Verifiable evidence that a cocycle is not a coboundary.
 
-    ``functional`` pairs to ``pairing`` != 0 (mod ``modulus``; modulus 0
-    means over Z or R) with the cocycle while killing every coboundary.
-    Circle certificates of stage "real-vs-integral" have modulus 1: an
-    integral functional whose real pairing is not an integer.
+    ``functional`` is integral, has one entry per k-simplex, and pairs to
+    ``pairing`` != 0 (mod ``modulus``; modulus 0 means over Z or R) with
+    the cocycle while killing every coboundary.  Circle certificates of
+    stage "real-vs-integral" have modulus 1: their real pairing is not an
+    integer.
     """
     functional: tuple
     modulus: int
@@ -293,19 +301,24 @@ class CoboundaryResult:
 def is_coboundary(z, sys):
     """Solve d b = z, or certify that no primitive exists.
 
-    Exact rings take one pass of snf.solve over the cached Smith form of
-    d_{k-1} (of [d_{k-1} | nI] mod n, the primitive cut to its first
-    count(k-1) entries); reals use least squares with a residual test;
-    circle coefficients use u1_is_coboundary.  Raises NotACocycle when z
-    is not closed.
+    Every ring reads the cached integer Smith form S d_{k-1} T = D, with
+    nonzero factors d_i for i < r.  Z takes one exact pass of snf.solve
+    over it, Z/n one over the form of [d_{k-1} | nI] (the primitive cut to
+    its first count(k-1) entries).  R and R/Z (u1_is_coboundary) share one
+    reading with a period p, 0 for R and 1 for R/Z: z is exact when every
+    (S z)_i with i >= r is within tol |S_i|_1 max(1, |z|_inf) of a multiple
+    of p, where tol = max(tolerance, 1e-12) for R and max(tolerance, 1e-9)
+    for R/Z.  The primitive is then T y with y_i = (S z)_i / d_i, and
+    AssertionError is raised unless d(T y) is within tol max(1, |z|_inf)
+    of z mod p.  Otherwise the integral row S_i, which kills d_{k-1}
+    exactly, is the certificate, of modulus p.  d_{-1} is zero, so in
+    degree 0 the primitive is the empty (-1)-cochain and a certificate is
+    the indicator of the first vertex where z is not zero.  Raises
+    NotACocycle when z is not closed.
     """
     if not is_cocycle(z, sys):
         raise NotACocycle(f"degree-{z.degree} cochain is not closed")
     k = z.degree
-    if k == 0:
-        if all(sys.coeff.is_zero(v) for v in z.values):
-            return CoboundaryResult(True, None, None)
-        return CoboundaryResult(False, None, Certificate((), 0, tuple(z.values)))
     kind = sys.coeff.kind
     if kind in (INTEGERS, MOD):
         s = sys.delta_snf(k - 1) if kind == INTEGERS else sys.delta_snf_mod(k - 1)
@@ -316,77 +329,62 @@ def is_coboundary(z, sys):
         x = x[:sys.nerve.count(k - 1)]
         return CoboundaryResult(True, cochain(sys, k - 1, x), None)
     if kind == REALS:
-        return _real_is_coboundary(z, sys)
+        return _solve_past_rank(z, sys, 0, max(sys.coeff.tolerance, 1e-12))
     if kind == CIRCLE:
         return u1_is_coboundary(z, sys)
     raise UnsupportedCoefficient(kind)
 
 
-def _real_is_coboundary(z, sys):
-    import numpy as np
+def _solve_past_rank(z, sys, period, tol):
+    """The R and R/Z reading of is_coboundary, modulo ``period`` (0 or 1).
+
+    The rule past the rank is universal coefficients (Hatcher, Algebraic
+    Topology, Thm 3A.3).
+    """
     k = z.degree
-    a = np.array(sys.delta_matrix(k - 1), dtype=float)
-    b = np.array(z.values, dtype=float)
-    tol = max(sys.coeff.tolerance, 1e-12)
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
-    if a.size == 0:
-        if not b.size or float(np.max(np.abs(b))) <= tol * scale:
-            return CoboundaryResult(True, zero_cochain(sys, k - 1), None)
-    else:
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if float(np.max(np.abs(a @ x - b))) <= tol * scale:
-            return CoboundaryResult(True, cochain(sys, k - 1, x.tolist()), None)
-    # certificate: a left-kernel vector of d_{k-1} pairing nontrivially with z
-    u, sing, _ = np.linalg.svd(a) if a.size else (np.eye(len(b)), np.zeros(0), None)
-    rank = int(np.sum(sing > 1e-10 * max(1.0, sing[0] if sing.size else 0.0)))
-    for i in range(rank, u.shape[1]):
-        w = u[:, i]
-        if abs(float(w @ b)) > tol * scale:
-            return CoboundaryResult(
-                False, None, Certificate(tuple(w.tolist()), 0, float(w @ b)))
-    raise AssertionError("real solve failed without a certificate")
+    s = sys.delta_snf(k - 1)
+    lift = [float(v) for v in z.values]
+    bound = tol * max([1.0] + [abs(v) for v in lift])
+
+    def off(v):  # distance to the nearest multiple of the period
+        return abs(v - period * round(v / period)) if period else abs(v)
+
+    sz = _snf.matvec(s.s, lift)
+    for i in range(s.rank, s.nrows):
+        if off(sz[i]) > bound * sum(map(abs, s.s[i])):
+            return CoboundaryResult(False, None, Certificate(
+                tuple(s.s[i]), period, sz[i] % period if period else sz[i],
+                stage="real-vs-integral" if period else "linear"))
+    y = [sz[i] / s.diag[i] for i in range(s.rank)] + [0.0] * (s.ncols - s.rank)
+    b = _snf.matvec(s.t, y)
+    db = _snf.matvec(sys.delta_matrix(k - 1), b)
+    if any(off(x - v) > bound for x, v in zip(db, lift)):
+        raise AssertionError(f"degree-{k} primitive fails d b = z")
+    return CoboundaryResult(True, cochain(sys, k - 1, b), None)
 
 
 def u1_is_coboundary(z, sys):
     """Triviality test for circle-valued cocycles from one integer Smith form.
 
-    With S d_{k-1} T = D (nonzero factors d_i, i < r) and zh the lift of z
-    to [0,1), z is a coboundary mod 1 exactly when (S zh)_i is an integer
-    for every i >= r (universal coefficients, Hatcher, Algebraic Topology,
-    Thm 3A.3): then S zh = D y + m with m integral, y_i = (S zh)_i / d_i,
-    and b = T y has d b = zh - S^-1 m.  The primitive is verified.
-    Otherwise the integral row S_i kills every real coboundary and pairs
-    with zh to a non-integer, a certificate modulo 1.  The certificate's
-    stage comes from the Bockstein cocycle n = d(zh): when n is not an
-    integral coboundary, its certificate is returned as "dixmier-douady";
-    else the row S_i is returned as "real-vs-integral".
+    The lift zh of z to [0,1) must have an integral coboundary n = d(zh),
+    else NotU1Cocycle or LiftNotIntegral.  z is then a coboundary mod 1
+    exactly when is_coboundary's reading with period 1 finds every (S zh)_i
+    past the rank an integer: S zh = D y + m with m integral, and b = T y
+    has d b = zh - S^-1 m.  Otherwise the row S_i pairs with zh to a
+    non-integer.  The certificate's stage comes from the Bockstein cocycle
+    n: when n is not an integral coboundary, its certificate is returned as
+    "dixmier-douady"; else the row S_i is returned as "real-vs-integral".
     """
     if sys.coeff.kind != CIRCLE:
         raise UnsupportedCoefficient("u1_is_coboundary needs circle coefficients")
-    k = z.degree
-    if not z.values:
-        return CoboundaryResult(True, zero_cochain(sys, k - 1), None)
     n_cochain, int_sys = _integral_coboundary_of_lift(z, sys)
-    s = sys.delta_snf(k - 1)
-    sz = _snf.matvec(s.s, [float(v) for v in z.values])
-    tol = max(sys.coeff.tolerance, 1e-9)
-    for i in range(s.rank, s.nrows):
-        frac = abs(sz[i] - round(sz[i]))
-        # the bound scales with the row's 1-norm, which is at least 1
-        if frac > tol and frac > tol * sum(map(abs, s.s[i])):
-            stage1 = is_coboundary(n_cochain, int_sys)
-            if not stage1.trivial:
-                cert = stage1.certificate
-                return CoboundaryResult(False, None, Certificate(
-                    cert.functional, cert.modulus, cert.pairing, stage="dixmier-douady"))
-            return CoboundaryResult(False, None, Certificate(
-                tuple(s.s[i]), 1, sz[i] % 1.0, stage="real-vs-integral"))
-    y = [sz[i] / s.diag[i] for i in range(s.rank)] + [0.0] * (s.ncols - s.rank)
-    primitive = cochain(sys, k - 1, _snf.matvec(s.t, y))
-    check = cochain_sub(sys, coboundary(primitive, sys), z)
-    if not all(sys.coeff.is_zero(x) for x in check.values):
-        raise AssertionError("u1 primitive failed verification")
-    return CoboundaryResult(True, primitive, None)
+    result = _solve_past_rank(z, sys, 1, max(sys.coeff.tolerance, 1e-9))
+    if result.trivial:
+        return result
+    stage1 = is_coboundary(n_cochain, int_sys)
+    if stage1.trivial:
+        return result
+    return CoboundaryResult(False, None, replace(stage1.certificate, stage="dixmier-douady"))
 
 
 def _integral_coboundary_of_lift(z, sys):

@@ -102,10 +102,6 @@ class LiftChoice:
     """Edge-indexed lifts into the extension's hat group, q(ghat) = g."""
     values: tuple
 
-    @classmethod
-    def from_dict(cls, nerve, mapping, default=None):
-        return cls(tuple(int(mapping.get(e, default)) for e in nerve.simplices[1]))
-
 
 def lifts_via_section(td, ext):
     """The tautological lifts ghat_ij = s(g_ij)."""

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerbelab import models
-from gerbelab.cech import (TwistedLocalSystem, bockstein_dd, cochain,
-                           cochain_from_dict, cochain_neg, cochain_sub,
+from gerbelab.cech import (Certificate, TwistedLocalSystem, bockstein_dd,
+                           cochain, cochain_from_dict, cochain_neg, cochain_sub,
                            coboundary, cohomology, is_coboundary, is_cocycle,
                            random_cochain, u1_is_coboundary, zero_cochain)
 from gerbelab.coeffs import CoefficientGroup
@@ -304,20 +304,95 @@ def test_mod_coefficients_roundtrip():
     assert coboundary(result.primitive, sys_).values == z.values
 
 
+def real_systems():
+    """(label, system) over R: RP^2 and RP^2 x S^1, plain and twisted by
+    the orientation character, and the circle."""
+    rp2, prod = models.rp2_nerve(), models.rp2_cross_circle()
+    gen = dict(zip(rp2.simplices[1], models.rp2_generator_cocycle().values))
+    w1 = pulled_back_edges(prod, 3, gen, which=0)
+    r, rneg = CoefficientGroup.reals(), CoefficientGroup.reals(involution="negation")
+    return [
+        ("RP2", TwistedLocalSystem(rp2, r)),
+        ("RP2~", TwistedLocalSystem(rp2, rneg, {e: -1 for e, g in gen.items() if g})),
+        ("RP2xS1", TwistedLocalSystem(prod, r)),
+        ("RP2xS1~", TwistedLocalSystem(
+            prod, rneg, {e: -1 for e, g in zip(prod.simplices[1], w1) if g})),
+        ("circle", TwistedLocalSystem(models.circle_nerve(), r)),
+    ]
+
+
 def test_real_coefficients_roundtrip_and_certificate():
+    from gerbelab import snf as _snf
     rng = np.random.default_rng(17)
-    sys_ = TwistedLocalSystem(models.rp2_nerve(), CoefficientGroup.reals())
-    b = random_cochain(sys_, 1, rng)
-    z = coboundary(b, sys_)
-    result = is_coboundary(z, sys_)
-    assert result.trivial
-    residual = cochain_sub(sys_, coboundary(result.primitive, sys_), z)
-    assert max(abs(v) for v in residual.values) <= 1e-9
-    # a real 1-cocycle on the circle that is not exact
-    sysc = TwistedLocalSystem(models.circle_nerve(), CoefficientGroup.reals())
-    z1 = cochain_from_dict(sysc, 1, {(0, 1): 1.0})
-    result = is_coboundary(z1, sysc)
-    assert not result.trivial and result.certificate is not None
+    seen = set()
+    for label, sys_ in real_systems():
+        for k in (1, 2, 3):
+            if not sys_.nerve.count(k):
+                continue
+            d = twisted_delta(sys_, k - 1)
+            kernel = _snf.kernel_basis(_snf.smith_normal_form(
+                twisted_delta(sys_, k).tolist(), ncols=sys_.nerve.count(k)))
+            for trial in range(7):
+                z = coboundary(random_cochain(sys_, k - 1, rng), sys_)
+                trivial = True
+                if trial:  # plus t times an integer cocycle, t above or below tolerance
+                    t = (rng.uniform(0.2, 2.0), 1e-6, 1e-12)[trial % 3]
+                    c = np.array(kernel, dtype=np.int64).T @ rng.integers(-1, 2, len(kernel))
+                    z = cochain(sys_, k, z.values + t * c)
+                    trivial = t < 1e-9 or (np.linalg.matrix_rank(np.column_stack([d, c])) ==
+                                           np.linalg.matrix_rank(d))
+                result = is_coboundary(z, sys_)
+                assert result.trivial == trivial, (label, k, trial)
+                seen.add((label, k, result.trivial))
+                if trivial:
+                    residual = cochain_sub(sys_, coboundary(result.primitive, sys_), z)
+                    bound = 1e-9 * max([1.0] + [abs(v) for v in z.values])
+                    assert max(abs(v) for v in residual.values) <= bound
+                    continue
+                cert = result.certificate
+                assert (cert.modulus, cert.stage) == (0, "linear")
+                assert all(type(f) is int for f in cert.functional)
+                rows = sys_.delta_matrix(k - 1)
+                assert all(sum(f * row[j] for f, row in zip(cert.functional, rows)) == 0
+                           for j in range(sys_.nerve.count(k - 1)))
+                pairing = sum(f * v for f, v in zip(cert.functional, z.values))
+                assert abs(pairing) > 1e-9 and abs(pairing - cert.pairing) <= 1e-12
+    # H^1(circle), H^1(RP2 x S1), H^2 and H^3 of twisted RP2 x S1 and H^2 of
+    # twisted RP2 are R; each was met both exact and not
+    free = [("circle", 1), ("RP2xS1", 1), ("RP2~", 2), ("RP2xS1~", 2), ("RP2xS1~", 3)]
+    assert {(label, k, v) for label, k in free for v in (True, False)} <= seen
+    assert {(label, k) for label, k, v in seen if not v} == set(free)
+
+
+@pytest.mark.parametrize("coeff, value, modulus, pairing, stage", [
+    (Z, -2, 0, -2, "linear"),
+    (CoefficientGroup.integers_mod(3), 5, 3, 2, "linear"),
+    (CoefficientGroup.reals(), 0.75, 0, 0.75, "linear"),
+    (CoefficientGroup.circle(), 1.25, 1, 0.25, "real-vs-integral"),
+])
+def test_degree_zero_certificate_is_a_vertex_indicator(coeff, value, modulus, pairing, stage):
+    nerve = build_nerve([(0, 1), (2, 3)])  # two components
+    sys_ = TwistedLocalSystem(nerve, coeff)
+    assert is_coboundary(zero_cochain(sys_, 0), sys_).trivial
+    z = cochain(sys_, 0, [0, 0, value, value])
+    results = [is_coboundary(z, sys_)]
+    if coeff.kind == "circle":
+        results.append(u1_is_coboundary(z, sys_))
+    for result in results:
+        assert not result.trivial
+        assert result.certificate == Certificate((0, 0, 1, 0), modulus, pairing, stage)
+        assert all(type(f) is int for f in result.certificate.functional)
+
+
+@pytest.mark.parametrize("coeff", [CoefficientGroup.reals(), CoefficientGroup.circle()])
+def test_real_primitive_self_check_catches_a_wrong_transform(coeff, monkeypatch):
+    sys_ = TwistedLocalSystem(models.rp2_nerve(), coeff)
+    z = coboundary(random_cochain(sys_, 1, np.random.default_rng(19)), sys_)
+    assert is_coboundary(z, sys_).trivial
+    s = sys_.delta_snf(1)
+    monkeypatch.setattr(s, "t", [[2 * x for x in row] for row in s.t])
+    with pytest.raises(AssertionError, match="primitive"):
+        is_coboundary(z, sys_)
 
 
 # --- bockstein / Dixmier-Douady -------------------------------------------

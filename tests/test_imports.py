@@ -1,8 +1,9 @@
 """The import contract: the exact side never loads numpy.
 
 ``import gerbelab`` and ``import gerbelab.cli`` leave numpy, ``connection``
-and ``schwinger`` unloaded, and the ``cohomology`` and ``obstruction``
-commands run to their golden bytes without loading them.  Every check runs
+and ``schwinger`` unloaded, the ``cohomology`` and ``obstruction``
+commands run to their golden bytes without loading them, and neither do
+real or circle-valued coboundary solves.  Every check runs
 in a fresh interpreter, since this test session has long imported numpy.
 """
 
@@ -80,6 +81,26 @@ def test_exact_commands_load_no_numpy_and_match_golden():
     for name, (code, stdout) in out["runs"].items():
         assert stdout.encode() == (GOLDEN / f"{name}.txt").read_bytes(), name
         assert code == codes[name], name
+
+
+def test_real_and_circle_solves_load_no_numpy():
+    out = run_python(
+        "import json, sys\n"
+        "from gerbelab import cech, models\n"
+        "from gerbelab.coeffs import CoefficientGroup\n"
+        "half = [v / 2 for v in models.rp2_generator_cocycle().values]\n"
+        "answers = []\n"
+        "for coeff, k, values in ((CoefficientGroup.reals(), 2, [1.5] + [0] * 9),\n"
+        "                         (CoefficientGroup.circle(), 1, half)):\n"
+        "    sys_ = cech.TwistedLocalSystem(models.rp2_nerve(), coeff)\n"
+        "    b = cech.cochain(sys_, k - 1, [0.1 * i for i in range(sys_.nerve.count(k - 1))])\n"
+        "    for z in (cech.coboundary(b, sys_), cech.cochain(sys_, k, values)):\n"
+        "        answers.append(cech.is_coboundary(z, sys_).trivial)\n"
+        f"loaded = [m for m in {FLOAT_MODULES!r} if m in sys.modules]\n"
+        "print(json.dumps({'answers': answers, 'loaded': loaded}))\n")
+    # H^2(RP^2; R) = 0, while the halved H^1 generator has a non-zero
+    # Bockstein in H^2(RP^2; Z) = Z/2
+    assert out == {"answers": [True, True, True, False], "loaded": []}
 
 
 def test_every_exported_name_resolves_to_its_defining_object():
