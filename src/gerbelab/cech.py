@@ -98,20 +98,20 @@ class TwistedLocalSystem:
             if not -1 <= k <= MAX_DIM:
                 raise DegreeOverflow(f"no coboundary out of degree {k}")
             if k == -1:
-                self._cache[key] = [[] for _ in self.nerve.simplices[0]]
-                return self._cache[key]
-            sources = self.nerve.simplices[k]
-            targets = self.nerve.simplices[k + 1] if k < MAX_DIM else ()
-            twist_signs = self.coeff.involution == NEGATION
-            rows = []
-            for s in targets:
-                row = [0] * len(sources)
-                fs = faces(s)
-                lead = self.eps_of(s[0], s[1]) if twist_signs else 1
-                row[self.nerve.index_of(fs[0])] += lead
-                for r in range(1, len(fs)):
-                    row[self.nerve.index_of(fs[r])] += -1 if r % 2 else 1
-                rows.append(row)
+                rows = [[] for _ in self.nerve.simplices[0]]
+            else:
+                sources = self.nerve.simplices[k]
+                targets = self.nerve.simplices[k + 1] if k < MAX_DIM else ()
+                twist_signs = self.coeff.involution == NEGATION
+                rows = []
+                for s in targets:
+                    row = [0] * len(sources)
+                    fs = faces(s)
+                    lead = self.eps_of(s[0], s[1]) if twist_signs else 1
+                    row[self.nerve.index_of(fs[0])] += lead
+                    for r in range(1, len(fs)):
+                        row[self.nerve.index_of(fs[r])] += -1 if r % 2 else 1
+                    rows.append(row)
             self._cache[key] = rows
         return self._cache[key]
 
@@ -310,10 +310,11 @@ def is_coboundary(z, sys):
     of p, where tol = max(tolerance, 1e-12) for R and max(tolerance, 1e-9)
     for R/Z.  The primitive is then T y with y_i = (S z)_i / d_i, and
     AssertionError is raised unless d(T y) is within tol max(1, |z|_inf)
-    of z mod p.  Otherwise the integral row S_i, which kills d_{k-1}
-    exactly, is the certificate, of modulus p.  d_{-1} is zero, so in
-    degree 0 the primitive is the empty (-1)-cochain and a certificate is
-    the indicator of the first vertex where z is not zero.  Raises
+    of z or of z - S^-1 e mod p, e being the past-rank part of S z less
+    its multiples of p.  Otherwise the integral row S_i, which kills
+    d_{k-1} exactly, is the certificate, of modulus p.  d_{-1} is zero, so
+    in degree 0 the primitive is the empty (-1)-cochain and a certificate
+    is the indicator of the first vertex where z is not zero.  Raises
     NotACocycle when z is not closed.
     """
     if not is_cocycle(z, sys):
@@ -339,27 +340,34 @@ def _solve_past_rank(z, sys, period, tol):
     """The R and R/Z reading of is_coboundary, modulo ``period`` (0 or 1).
 
     The rule past the rank is universal coefficients (Hatcher, Algebraic
-    Topology, Thm 3A.3).
+    Topology, Thm 3A.3).  With e the past-rank part of S z less its
+    multiples of the period, the primitive has d b = z - S^-1 e mod the
+    period; the self-check holds d b to that, or to z, within tol
+    max(1, |z|_inf).
     """
     k = z.degree
     s = sys.delta_snf(k - 1)
     lift = [float(v) for v in z.values]
     bound = tol * max([1.0] + [abs(v) for v in lift])
 
-    def off(v):  # distance to the nearest multiple of the period
-        return abs(v - period * round(v / period)) if period else abs(v)
+    def rem(v):  # v less its nearest multiple of the period
+        return v - period * round(v / period) if period else v
 
     sz = _snf.matvec(s.s, lift)
     for i in range(s.rank, s.nrows):
-        if off(sz[i]) > bound * sum(map(abs, s.s[i])):
+        if abs(rem(sz[i])) > bound * sum(map(abs, s.s[i])):
             return CoboundaryResult(False, None, Certificate(
                 tuple(s.s[i]), period, sz[i] % period if period else sz[i],
                 stage="real-vs-integral" if period else "linear"))
     y = [sz[i] / s.diag[i] for i in range(s.rank)] + [0.0] * (s.ncols - s.rank)
     b = _snf.matvec(s.t, y)
     db = _snf.matvec(sys.delta_matrix(k - 1), b)
-    if any(off(x - v) > bound for x, v in zip(db, lift)):
-        raise AssertionError(f"degree-{k} primitive fails d b = z")
+    miss = [rem(x - v) for x, v in zip(db, lift)]
+    if any(abs(m) > bound for m in miss):  # e was past tol: subtract S^-1 e
+        e = [rem(v) for v in sz[s.rank:]]
+        fix = _snf.matvec([row[s.rank:] for row in s.s_inv], e)
+        if any(abs(rem(m + f)) > bound for m, f in zip(miss, fix)):
+            raise AssertionError(f"degree-{k} primitive fails d b = z")
     return CoboundaryResult(True, cochain(sys, k - 1, b), None)
 
 

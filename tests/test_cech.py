@@ -395,6 +395,56 @@ def test_real_primitive_self_check_catches_a_wrong_transform(coeff, monkeypatch)
         is_coboundary(z, sys_)
 
 
+@pytest.mark.parametrize("coeff", [CoefficientGroup.reals(), CoefficientGroup.circle()])
+def test_circle_decision_bound_is_tol_times_the_row_norm(coeff):
+    # past the rank S_2 = +-(1, -1, 1), so the bound on (S z)_2 is 3 tol = 3e-9
+    sys_ = TwistedLocalSystem(models.circle_nerve(), coeff)
+    inside = is_coboundary(cochain(sys_, 1, [2e-9, 0, 0]), sys_)
+    assert inside.trivial  # d b - z = (0, 0, -2e-9), past tol but allowed
+    outside = is_coboundary(cochain(sys_, 1, [4e-9, 0, 0]), sys_)
+    assert not outside.trivial
+    assert abs(outside.certificate.pairing) == pytest.approx(4e-9)
+
+
+def test_past_rank_band_passes_the_self_check():
+    """A non-exact part with (S z)_i between tol and tol |S_i|_1 past the
+    rank is exact by the decision, so the primitive's self-check must
+    accept it; d b - z is then bounded by |S^-1|_inf times the decision's
+    bound, not by tol alone."""
+    from gerbelab.snf import kernel_basis
+    rng = np.random.default_rng(23)
+    band = set()
+    for label, real_sys in real_systems():
+        circle = CoefficientGroup.circle(involution=real_sys.coeff.involution)
+        for sys_, period, floor in ((real_sys, 0, 1e-12),
+                                    (real_sys.with_coefficients(circle), 1, 1e-9)):
+            tol = max(sys_.coeff.tolerance, floor)
+            for k in (1, 2, 3):
+                if not sys_.nerve.count(k):
+                    continue
+                s = sys_.delta_snf(k - 1)
+                kernel = np.array(kernel_basis(sys_.delta_snf(k)), dtype=np.int64)
+                c = kernel.T @ rng.integers(-1, 2, len(kernel))
+                sc = np.array(s.s) @ c
+                norms = np.abs(np.array(s.s)).sum(axis=1)
+                past = [i for i in range(s.rank, s.nrows) if sc[i]]
+                if not past:
+                    continue  # c is exact
+                exact = coboundary(random_cochain(sys_, k - 1, rng), sys_)
+                bound = tol * max([1.0] + [abs(v) for v in exact.values])
+                t = 0.5 * bound * min(norms[i] / abs(sc[i]) for i in past)
+                z = cochain(sys_, k, np.array(exact.values) + t * c)
+                result = is_coboundary(z, sys_)
+                assert result.trivial, (label, period, k)
+                if t * max(abs(sc[i]) for i in past) > bound:
+                    band.add((label, period, k))
+                residual = np.array(coboundary(result.primitive, sys_).values) - z.values
+                residual -= period * np.round(residual) if period else 0
+                s_inv = np.abs(np.array(s.s_inv)).sum(axis=1).max()
+                assert np.abs(residual).max() <= 1.01 * bound * norms.max() * s_inv
+    assert {period for _, period, _ in band} == {0, 1}
+
+
 # --- bockstein / Dixmier-Douady -------------------------------------------
 
 def circle_system(nerve, involution="identity"):
