@@ -14,8 +14,13 @@ Riemann sum of (i/2pi) tr F over the charts of a closed oriented surface.
 Line-bundle samples (N = 1) are inverted and multiplied elementwise, and
 their curvature skips the bracket, which vanishes; N >= 2 samples go
 through LAPACK's batched inverse and np.matmul.  Each full-grid array is
-written once: connection terms accumulate in place, and gauge_residual
-interpolates A_u, A_v and F through one shared bilinear stencil.
+written once: derivatives are written into buffers the caller owns
+(``_derivative``, numpy's ``np.gradient`` formulas), connection terms
+accumulate in place, and gauge_residual interpolates A_u, A_v and F
+through one shared bilinear stencil.  A_k, F_k and the Chern sum are
+full-grid by nature; gauge_residual reads h_lk, A_l and F_l at the
+overlap points only, and only its overlap mask and the forms it is not
+given are computed on full grids.
 """
 
 from dataclasses import dataclass
@@ -249,19 +254,43 @@ def _product(a, b, out=None):
     return np.matmul(a, b, out=out)
 
 
+# numpy's second-order one-sided stencils at the first and the last point
+# of an axis: (offset from that point, coefficient times the spacing).
+_ONE_SIDED = ((0, ((0, -1.5), (1, 2.), (2, -0.5))),
+              (-1, ((-2, 0.5), (-1, -2.), (0, 1.5))))
+
+
+def _derivative(f, dx, axis, out):
+    """``np.gradient(f, dx, axis=axis, edge_order=2)`` written into ``out``
+    and returned: central differences inside, the ``_ONE_SIDED`` stencils
+    at both edges, each evaluated in numpy's order so that the bits
+    agree."""
+    f, d = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=d[1:-1])
+    d[1:-1] /= 2. * dx
+    for edge, stencil in _ONE_SIDED:
+        (shift, c), *rest = stencil
+        np.multiply(c / dx, f[edge + shift], out=d[edge])
+        for shift, c in rest:
+            d[edge] += c / dx * f[edge + shift]
+    return out
+
+
 def local_connection(data, k):
     """A_k = sum_i lambda_i h_ki^{-1} dh_ki on chart k's grid.
 
     Line-bundle samples are inverted and multiplied elementwise
     (h^{-1} = 1/h); N >= 2 samples go through LAPACK's batched inverse and
-    np.matmul.  Each term is formed in its gradient's buffer and added only
-    where lambda_i > 0, so samples outside the support never reach A.
+    np.matmul.  Each term is formed in one buffer, reused across axes and
+    partition indices, and added only where lambda_i > 0, so samples
+    outside the support never reach A.
     """
     chart = data.base.charts[k]
     if any(n < 3 for n in chart.shape):
         raise GridTooCoarse("need >= 3 grid points per axis")
     N = data.size
     comps = np.zeros((chart.dims,) + chart.shape + (N, N), dtype=complex)
+    term = np.empty(chart.shape + (N, N), dtype=complex)
     for i in range(data.base.chart_count):
         if i == k:
             continue  # h_kk is constant, contributes nothing
@@ -273,7 +302,7 @@ def local_connection(data, k):
         h_inv = _inverse(h)
         lam, active = lam[..., None, None], active[..., None, None]
         for axis in range(chart.dims):
-            term = np.gradient(h, chart.spacing[axis], axis=axis, edge_order=2)
+            _derivative(h, chart.spacing[axis], axis, term)
             _product(h_inv, term, out=term)
             term *= lam
             np.add(comps[axis], term, out=comps[axis], where=active)
@@ -293,11 +322,12 @@ def curvature(data, form):
     if chart.dims != 2:
         raise NotClosedSurface("curvature is computed on 2D charts")
     au, av = form.components[0], form.components[1]
-    f = np.gradient(av, chart.spacing[0], axis=0, edge_order=2)
-    f -= np.gradient(au, chart.spacing[1], axis=1, edge_order=2)
+    f, scratch = np.empty_like(av), np.empty_like(au)
+    _derivative(av, chart.spacing[0], 0, f)
+    f -= _derivative(au, chart.spacing[1], 1, scratch)
     if f.shape[-1] != 1:
-        f += au @ av
-        f -= av @ au
+        f += np.matmul(au, av, out=scratch)
+        f -= np.matmul(av, au, out=scratch)
     return SampledForm(2, form.chart, f)
 
 
@@ -327,17 +357,44 @@ def _stencil(chart, u, v):
     return corners, weights
 
 
+def _gather(values, idx):
+    """Grid samples (grid + (N, N)) at flat grid indices ``idx``."""
+    return np.take(values.reshape((-1,) + values.shape[2:]), idx, axis=0)
+
+
 def _interpolate(stencil, values):
     """Grid samples (grid + (N, N)) interpolated by a ``_stencil``."""
-    flat = values.reshape((-1,) + values.shape[2:])
     out = None
     for corner, weight in zip(*stencil):
-        term = np.take(flat, corner, axis=0)
+        term = _gather(values, corner)
         term *= weight[..., None, None]
         if out is None:
             out = term
         else:
             out += term
+    return out
+
+
+def _derivative_at(values, idx, pos, n, step, dx):
+    """``_derivative`` of grid samples along one axis, at flat grid indices
+    ``idx`` only: ``pos`` holds their coordinates along the axis, ``n`` its
+    length and ``step`` its flat stride.  Points inside read their +-1
+    neighbours; numpy's one-sided stencils run only at the chart edges."""
+    at_edge = [pos == edge % n for edge, _ in _ONE_SIDED]
+    edge = at_edge[0] | at_edge[1]
+    inner = idx[~edge] if edge.any() else idx
+    d = _gather(values, inner + step)
+    d -= _gather(values, inner - step)
+    d /= 2. * dx
+    if inner is idx:
+        return d
+    out = np.empty((idx.size,) + d.shape[1:], dtype=d.dtype)
+    out[~edge] = d
+    for at, (_, stencil) in zip(at_edge, _ONE_SIDED):
+        if at.any():
+            terms = [c / dx * _gather(values, idx[at] + shift * step)
+                     for shift, c in stencil]
+            out[at] = terms[0] + terms[1] + terms[2]
     return out
 
 
@@ -348,12 +405,14 @@ def gauge_residual(data, k, l, forms=None):
         F_l = Ad_{h_lk^{-1}} F_k,
 
     with the chart-k forms pulled back through the overlap coordinate map
-    and compared at the overlap grid points of chart l.  The forms
-    themselves are differentiated on the full grids; everything else
-    (h_lk, its inverse and derivative, the Jacobian, the interpolated
-    chart-k forms) is evaluated at the overlap points only, and one
-    bilinear stencil serves A_u, A_v and F.  ``forms[j]`` may give
-    ``chart_forms(data, j)`` for j = k, l; by default they are computed here.
+    and compared at the overlap grid points of chart l.  Everything the
+    comparison reads is gathered at the overlap points only: h_lk, its
+    inverse and its derivative (from the neighbouring samples, one-sided
+    at chart edges), the Jacobian, A_l, F_l and the interpolated chart-k
+    forms, where one bilinear stencil serves A_u, A_v and F.  Only the
+    overlap mask, and the forms when they are not given, are computed on
+    full grids: ``forms[j]`` may give ``chart_forms(data, j)`` for
+    j = k, l.  A NaN deviation at any overlap point makes the result NaN.
     """
     base = data.base
     if (k, l) not in base.overlaps or (l, k) not in base.overlaps:
@@ -363,30 +422,34 @@ def gauge_residual(data, k, l, forms=None):
     mask = np.asarray(om.mask(*chart_l.grid), dtype=bool)
     if not mask.any():
         raise NoOverlap(f"no usable overlap points between charts {k} and {l}")
-    at = np.nonzero(mask)
+    at = np.flatnonzero(mask)
     if forms is None:
         forms = {j: chart_forms(data, j) for j in (l, k)}
     (a_l, f_l), (a_k, f_k) = forms[l], forms[k]
-    points = [axis[at] for axis in chart_l.grid]
+    points = [np.take(axis, at) for axis in chart_l.grid]
     mapped = om.coords(*points)
     jac = om.jacobian(*points)  # jac[b][a] = d(mapped_b)/d(x_a)
     h_full = data.transition_values(l, k)  # h_lk on chart l
-    h = h_full[at]
+    h = _gather(h_full, at)
     h_inv = _inverse(h)
     stencil = _stencil(base.charts[k], *mapped)
     interp_k = [_interpolate(stencil, a_k.components[b]) for b in range(2)]
-    worst = 0.0
+    pos = np.unravel_index(at, chart_l.shape)
+    steps = (chart_l.shape[1], 1)
+    worst = []
     for a in range(2):
         pulled = sum(jac[b][a][..., None, None] * interp_k[b] for b in range(2))
-        dh = np.gradient(h_full, chart_l.spacing[a], axis=a, edge_order=2)[at]
+        dh = _derivative_at(h_full, at, pos[a], chart_l.shape[a], steps[a],
+                            chart_l.spacing[a])
         rhs = _product(_product(h_inv, pulled), h) + _product(h_inv, dh)
-        dev = np.abs(a_l.components[a][at] - rhs).max(axis=(-2, -1))
-        worst = max(worst, float(dev.max()))
+        dev = np.abs(_gather(a_l.components[a], at) - rhs).max(axis=(-2, -1))
+        worst.append(dev.max())
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     pulled_f = det[..., None, None] * _interpolate(stencil, f_k.components)
     rhs_f = _product(_product(h_inv, pulled_f), h)
-    dev_f = np.abs(f_l.components[at] - rhs_f).max(axis=(-2, -1))
-    return max(worst, float(dev_f.max()))
+    dev_f = np.abs(_gather(f_l.components, at) - rhs_f).max(axis=(-2, -1))
+    worst.append(dev_f.max())
+    return float(np.max(worst))
 
 
 def chern_number(data, forms=None):

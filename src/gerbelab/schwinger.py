@@ -67,15 +67,34 @@ class LoopPolynomial:
                               {m: factor * mat for m, mat in self.coeffs.items()})
 
     def bracket(self, other):
-        """Pointwise bracket: [X, Y]_m = sum_p X_p Y_{m-p} - Y_p X_{m-p}."""
-        out = {}
-        for p, xp in self.coeffs.items():
-            for q, yq in other.coeffs.items():
-                out[p + q] = out.get(p + q, 0) + xp @ yq
-        for p, yp in other.coeffs.items():
-            for q, xq in self.coeffs.items():
-                out[p + q] = out.get(p + q, 0) - yp @ xq
-        return LoopPolynomial(self.size, out)
+        """Pointwise bracket: [X, Y]_m = sum_p X_p Y_{m-p} - Y_p X_{m-p}.
+
+        Each sum takes one batched np.matmul over all mode pairs and adds
+        its rows in ascending p, the same order for XY as for YX, so
+        [X, X] is exactly 0."""
+        if not self.coeffs or not other.coeffs:
+            return LoopPolynomial(self.size, {})
+        lo = min(self.coeffs) + min(other.coeffs)
+        xy, yx = self._convolve(other), other._convolve(self)
+        return LoopPolynomial(self.size, {lo + i: mat for i, mat in
+                                          enumerate(xy - yx)})
+
+    def _convolve(self, other):
+        """sum_p X_p Y_{m-p} for every m from min X + min Y up to
+        max X + max Y, as one (modes, N, N) array: the products of each
+        X_p with Y's coefficients from min Y to max Y (zero where Y has
+        none) are added as one shifted slice, in ascending p."""
+        xm, y0 = sorted(self.coeffs), min(other.coeffs)
+        ys = np.zeros((max(other.coeffs) - y0 + 1, self.size, self.size),
+                      dtype=complex)
+        for m, mat in other.coeffs.items():
+            ys[m - y0] = mat
+        xs = np.stack([self.coeffs[m] for m in xm])
+        out = np.zeros((xm[-1] - xm[0] + len(ys), self.size, self.size),
+                       dtype=complex)
+        for p, row in zip(xm, np.matmul(xs[:, None], ys[None, :])):
+            out[p - xm[0]:p - xm[0] + len(ys)] += row
+        return out
 
     def derivative(self):
         """Theta-derivative: (X')_m = i m X_m."""
@@ -150,20 +169,26 @@ class BlockOperator:
         return self.matrix[:self.cut, :self.cut]
 
 
+def _operator_entries(X, rows, cols):
+    """The rows of output modes ``rows`` and the columns of input modes
+    ``cols`` (ranges) of the multiplication operator of X: the block
+    coupling input mode r to output mode s is X_{s-r}."""
+    N = X.size
+    mat = np.zeros((len(rows) * N, len(cols) * N), dtype=complex)
+    for m, coeff in X.coeffs.items():
+        for r in range(max(cols.start, rows.start - m),
+                       min(cols.stop, rows.stop - m)):
+            si, ri = (r + m - rows.start) * N, (r - cols.start) * N
+            mat[si:si + N, ri:ri + N] = coeff
+    return mat
+
+
 def block_operator(X, K):
     """Assemble the truncated multiplication operator of a loop."""
     if K < 1:
         raise TruncationTooSmall("truncation must be at least 1")
-    N = X.size
-    dim = 2 * K * N
-    mat = np.zeros((dim, dim), dtype=complex)
-    for m, coeff in X.coeffs.items():
-        for r in range(-K, K):
-            s = r + m
-            if -K <= s < K:
-                si, ri = (s + K) * N, (r + K) * N
-                mat[si:si + N, ri:ri + N] = coeff
-    return BlockOperator(K, N, mat)
+    modes = range(-K, K)
+    return BlockOperator(K, X.size, _operator_entries(X, modes, modes))
 
 
 def schwinger_trace(X, Y, K, allow_truncated=False):
@@ -287,8 +312,8 @@ def defect_curvature(X, Y, K):
     Products widen the band, so K >= 2*max(band) + 1 is required and only
     modes with |mode| <= K - 2*max(band) are kept; there the matrix equals
     its untruncated value.  Only those interior rows and columns are
-    computed: the interior rows of [D, M_X] times the interior columns of
-    [D, M_Y], and so on.
+    built and computed: the interior rows of [D, M_X] times the interior
+    columns of [D, M_Y], and so on, and the interior block of M_[X,Y].
     """
     mb = max(X.band, Y.band)
     if K < 2 * mb + 1:
@@ -297,20 +322,15 @@ def defect_curvature(X, Y, K):
             f"(need K >= {2 * mb + 1})")
     N = X.size
     window = K - 2 * mb
-    d = _mode_numbers(K, N)
-    inner = np.flatnonzero(np.abs(d) <= window)
-    di = d[inner]
-    mx = block_operator(X, K).matrix
-    my = block_operator(Y, K).matrix
-    mxy = block_operator(X.bracket(Y), K).matrix[np.ix_(inner, inner)]
+    modes, inner = range(-K, K), range(-window, window + 1)
+    d, di = _mode_numbers(K, N), np.repeat(inner, N)
 
-    def rows(m):  # interior rows of [D, M]
-        return _commutator(di, m[inner], d)
+    def rows(x):  # interior rows of [D, M_x]
+        return _commutator(di, _operator_entries(x, inner, modes), d)
 
-    def cols(m):  # interior columns of [D, M]
-        return _commutator(d, m[:, inner], di)
+    def cols(x):  # interior columns of [D, M_x]
+        return _commutator(d, _operator_entries(x, modes, inner), di)
 
-    matrix = rows(mx) @ cols(my) - rows(my) @ cols(mx) \
-        - _commutator(di, mxy, di)
-    modes = tuple(m for m in range(-K, K) if abs(m) <= window)
-    return DefectCurvature(matrix, window, modes)
+    mxy = _operator_entries(X.bracket(Y), inner, inner)
+    matrix = rows(X) @ cols(Y) - rows(Y) @ cols(X) - _commutator(di, mxy, di)
+    return DefectCurvature(matrix, window, tuple(inner))

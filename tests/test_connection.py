@@ -7,7 +7,8 @@ from gerbelab.connection import (BundleData, Chart, SampledForm,
                                  curvature, gauge_residual, local_connection,
                                  radial_profile, trivial_interval_bundle,
                                  two_arc_circle, two_chart_sphere,
-                                 _interpolate, _inverse, _product, _stencil)
+                                 _derivative, _interpolate, _inverse,
+                                 _product, _stencil)
 from gerbelab.errors import (GridTooCoarse, NotClosedSurface,
                              PointOutsideCharts)
 import oracles
@@ -142,6 +143,26 @@ def test_partition_shift_leaves_connection_alone():
             reference = form.components
         else:
             assert np.allclose(form.components, reference, atol=1e-13)
+
+
+# --- finite differences ------------------------------------------------------
+
+@pytest.mark.parametrize("length", [3, 4, 7, 400])
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_derivative_equals_numpy_gradient(length, size, complex_values):
+    rng = np.random.default_rng(length)
+    for axis in (0, 1):
+        shape = [5, 5, size, size]
+        shape[axis] = length
+        f = rng.normal(size=shape)
+        if complex_values:
+            f = f + 1j * rng.normal(size=shape)
+        dx = rng.uniform(0.01, 1.0)
+        out = np.full_like(f, np.nan)
+        assert _derivative(f, dx, axis, out) is out
+        assert np.array_equal(out, np.gradient(f, dx, axis=axis,
+                                               edge_order=2))
 
 
 # --- elementwise inverse of line-bundle samples -----------------------------
@@ -354,6 +375,53 @@ def test_gauge_residual_equals_full_grid_reference(resolution):
         for k, l in ((0, 1), (1, 0)):
             assert gauge_residual(data, k, l) == \
                 full_grid_gauge_residual(data, k, l)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_gauge_residual_at_chart_edges_equals_full_grid_reference(size):
+    """With extent 1.3 the annulus crosses the chart edges, so the
+    one-sided derivative stencils run at overlap points."""
+    for clutching in range(-2, 4):
+        data = two_chart_sphere(clutching, resolution=80, extent=1.3,
+                                size=size)
+        chart = data.base.charts[0]
+        mask = data.base.overlaps[(1, 0)].mask(*chart.grid)
+        inside = np.zeros_like(mask)
+        inside[1:-1, 1:-1] = True
+        assert np.count_nonzero(mask & ~inside) == 88
+        for k, l in ((0, 1), (1, 0)):
+            assert gauge_residual(data, k, l) == \
+                full_grid_gauge_residual(data, k, l)
+
+
+def test_gauge_residual_differentiates_no_full_grid(monkeypatch):
+    """With the forms given, neither np.gradient nor the full-grid
+    derivative runs: dh is formed at the overlap points only."""
+    data = two_chart_sphere(2, resolution=80, extent=1.3)
+    forms = {k: chart_forms(data, k) for k in (0, 1)}
+    expected = gauge_residual(data, 0, 1, forms)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("gauge_residual differentiated a full grid")
+
+    monkeypatch.setattr(np, "gradient", spy)
+    monkeypatch.setattr(connection, "_derivative", spy)
+    assert gauge_residual(data, 0, 1, forms) == expected
+
+
+@pytest.mark.parametrize("form", [0, 1])
+def test_gauge_residual_propagates_nan(form):
+    """A NaN in A_l's dv component or in F_l at one overlap point makes
+    the residual NaN, whichever deviation is reduced first."""
+    data = two_chart_sphere(1, resolution=60)
+    forms = {k: chart_forms(data, k) for k in (0, 1)}
+    assert np.isfinite(gauge_residual(data, 1, 0, forms))
+    chart = data.base.charts[0]
+    mask = data.base.overlaps[(1, 0)].mask(*chart.grid)
+    point = tuple(int(x[0]) for x in np.nonzero(mask))
+    values = forms[0][form].components
+    values[(1,) + point if form == 0 else point] = np.nan
+    assert np.isnan(gauge_residual(data, 1, 0, forms))
 
 
 def test_corner_corruption_outside_the_annulus_is_not_read():

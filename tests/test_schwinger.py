@@ -390,3 +390,62 @@ def test_bracket_of_skew_loops_is_skew():
     x = LoopPolynomial.random(rng, 2, 2, skew=True)
     y = LoopPolynomial.random(rng, 2, 3, skew=True)
     LoopPolynomial(2, x.bracket(y).coeffs, skew=True)  # validates
+
+
+def pairwise_bracket(x, y):
+    """[X, Y] summed mode pair by mode pair, as the definition reads."""
+    out = {}
+    for p, xp in x.coeffs.items():
+        for q, yq in y.coeffs.items():
+            out[p + q] = out.get(p + q, 0) + xp @ yq - yq @ xp
+    return out
+
+
+def test_bracket_matches_the_pairwise_sum():
+    """Dense and gappy mode sets, different bands, and an empty loop."""
+    rng = np.random.default_rng(17)
+    gappy = LoopPolynomial(3, {m: rng.standard_normal((3, 3))
+                               for m in (-4, -1, 3)})
+    loops = [rand_loop(rng, 3, 2), rand_loop(rng, 3, 0), gappy,
+             LoopPolynomial(3, {5: rng.standard_normal((3, 3))}),
+             LoopPolynomial(3, {})]
+    for x in loops:
+        for y in loops:
+            got = x.bracket(y)
+            expected = LoopPolynomial(3, pairwise_bracket(x, y))
+            for m in set(got.coeffs) | set(expected.coeffs):
+                assert np.max(np.abs(got.coeff(m) - expected.coeff(m))) <= \
+                    1e-13 * loop_scale(x, y)
+
+
+def test_bracket_of_a_loop_with_itself_is_exactly_zero():
+    rng = np.random.default_rng(18)
+    for n, b in ((2, 1), (4, 8), (16, 8)):
+        x = LoopPolynomial.random(rng, n, b, skew=True)
+        assert x.bracket(x).coeffs == {}
+
+
+@pytest.mark.parametrize("n,b", [(1, 1), (2, 3), (4, 2)])
+def test_curvature_equals_the_full_operator_formula(n, b):
+    """Bit for bit: the interior of the commutators of the full 2KN x 2KN
+    operators, as the curvature was first computed."""
+    rng = np.random.default_rng(19)
+    x, y = rand_loop(rng, n, b), rand_loop(rng, n, b)
+    for k in (2 * b + 1, 2 * b + 3):
+        window = k - 2 * b
+        d = np.repeat(np.arange(-k, k), n)
+        inner = np.flatnonzero(np.abs(d) <= window)
+        mx, my = block_operator(x, k).matrix, block_operator(y, k).matrix
+        mxy = block_operator(x.bracket(y), k).matrix[np.ix_(inner, inner)]
+
+        def rows(m):
+            return d[inner][:, None] * m[inner] - m[inner] * d
+
+        def cols(m):
+            return d[:, None] * m[:, inner] - m[:, inner] * d[inner]
+
+        expected = rows(mx) @ cols(my) - rows(my) @ cols(mx) \
+            - (d[inner][:, None] * mxy - mxy * d[inner])
+        result = defect_curvature(x, y, k)
+        assert np.array_equal(result.matrix, expected)
+        assert result.modes == tuple(range(-window, window + 1))
