@@ -35,10 +35,9 @@ _LAZY = {name: module for module, names in (
                    "SampledForm chern_number classifying_point curvature "
                    "gauge_residual local_connection two_arc_circle "
                    "two_chart_sphere"),
-    ("schwinger", "schwinger BlockOperator CentralElement DefectCurvature "
-                  "DiracDefect LoopPolynomial block_operator "
-                  "cocycle_identity_defect defect_curvature dirac_defect "
-                  "extension_bracket jacobi_defect loop_scale "
+    ("schwinger", "schwinger CentralElement DefectCurvature DiracDefect "
+                  "LoopPolynomial cocycle_identity_defect defect_curvature "
+                  "dirac_defect extension_bracket jacobi_defect loop_scale "
                   "schwinger_residue schwinger_trace"),
 ) for name in names.split()}
 

@@ -125,6 +125,8 @@ def cmd_obstruction(args):
 
 
 def _load_loops(args, count):
+    if args.random and args.loops:
+        raise ProblemFileError("give loop files or --random, not both")
     if args.random:
         try:
             size, band = (int(x) for x in args.random.split(","))
@@ -141,7 +143,10 @@ def _load_loops(args, count):
     if len(args.loops) < count:
         raise ProblemFileError(
             f"mode {args.mode} needs {count} loop files (or --random)")
-    return [io.parse_loop(p) for p in args.loops[:count]], "files"
+    if len(args.loops) > count:
+        raise ProblemFileError(
+            f"mode {args.mode} takes {count} loop files, got {len(args.loops)}")
+    return [io.parse_loop(p) for p in args.loops], "files"
 
 
 _MODE_ARITY = {"trace": 2, "residue": 2, "identity": 3, "jacobi": 3,
@@ -155,7 +160,7 @@ def cmd_schwinger(args):
     count = _MODE_ARITY[args.mode]
     loops, source = _load_loops(args, count)
     if source == "files":
-        for idx, path in enumerate(args.loops[:count]):
+        for idx, path in enumerate(args.loops):
             _input_line(report, f"loop{idx}", path)
     else:
         report.add("random", args.random)
@@ -171,13 +176,13 @@ def cmd_schwinger(args):
             report.add("residue", residue)
         else:
             base = max(band, 1) if args.truncation is None else args.truncation
+            traces = {}
             for K in (base, base + 1, base + 5):
-                value = schwinger.schwinger_trace(
+                traces[K] = schwinger.schwinger_trace(
                     X, Y, K, allow_truncated=args.allow_truncated)
-                report.add(f"trace-K{K}", value)
+                report.add(f"trace-K{K}", traces[K])
             report.add("residue", residue)
-            dev = abs(schwinger.schwinger_trace(
-                X, Y, base, allow_truncated=args.allow_truncated) - residue)
+            dev = abs(traces[base] - residue)
             report.add("trace-vs-residue", dev)
             report.add("verdict",
                        "PASS" if dev <= 1e-10 * scale else "FAIL",

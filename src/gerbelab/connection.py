@@ -159,15 +159,6 @@ class BundleData:
             worst = max(worst, float(dev.max()))
         return worst, worst <= tol
 
-    def reorthonormalize(self):
-        """Project every stored transition sample to its nearest unitary
-        (polar factor via SVD); counteracts drift in tabulated data."""
-        for key in list(self._transition_samples):
-            if key[0] == key[1]:
-                continue
-            u, _, vh = np.linalg.svd(self._transition_samples[key])
-            self._transition_samples[key] = u @ vh
-
     def transition_report(self, tol=1e-9):
         """Pointwise inverse-consistency residual h_ki(phi(x)) h_ik(x) = 1.
 

@@ -203,9 +203,15 @@ def parse_loop(path):
     if doc["kind"] != "loop":
         raise ProblemFileError(f"{path}: expected a loop file")
     size = _need(doc, "size", path)
+    if type(size) is not int or size < 1:  # also rejects true and false
+        raise ProblemFileError(f"{path}: size must be an integer >= 1, got {size!r}")
     coeffs = {}
     for entry in _need(doc, "coefficients", path):
         m = _need(entry, "mode", path)
+        if type(m) is not int:
+            raise ProblemFileError(f"{path}: mode must be an integer, got {m!r}")
+        if m in coeffs:
+            raise ProblemFileError(f"{path}: mode {m} appears twice")
         flat = _need(entry, "matrix", path)
         if len(flat) != size * size:
             raise ProblemFileError(
@@ -215,7 +221,7 @@ def parse_loop(path):
         except (TypeError, ValueError) as exc:
             raise ProblemFileError(
                 f"{path}: matrix entries are [re, im] pairs: {exc}") from exc
-        coeffs[int(m)] = np.array(vals, dtype=complex).reshape(size, size)
+        coeffs[m] = np.array(vals, dtype=complex).reshape(size, size)
     try:
         return LoopPolynomial(size, coeffs, skew=bool(doc.get("skew", False)))
     except Exception as exc:

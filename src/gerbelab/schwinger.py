@@ -16,6 +16,11 @@ diagonal mode-number operator, X' the theta-derivative with
 (X')_m = i m X_m), and the defect curvature F(X, Y) = [DX, DY] - D[X, Y]
 round out the toolkit.  Since D is diagonal, [D, M] is formed entrywise as
 (s - r) M_{sr}, never as a matrix product.
+
+No full 2KN x 2KN operator is assembled: each computation builds only the
+blocks it reads (the four off-diagonal blocks for the trace, the interior
+modes for the defects), all through one builder of chosen rows and
+columns.
 """
 
 from dataclasses import dataclass
@@ -136,39 +141,6 @@ def loop_scale(*loops):
     return max(1.0, prod)
 
 
-class BlockOperator:
-    """Truncated multiplication operator with its polarization blocks.
-
-    Modes run over -K..K-1 in ascending order; the entry coupling input
-    mode r to output mode s is X_{s-r}.  The negative modes span H_- (the
-    first K*N coordinates) and the nonnegative modes span H_+.
-    """
-
-    __slots__ = ("truncation", "size", "matrix")
-
-    def __init__(self, truncation, size, matrix):
-        self.truncation = truncation
-        self.size = size
-        self.matrix = matrix
-
-    @property
-    def cut(self):
-        return self.truncation * self.size
-
-    @property
-    def minus_plus(self):
-        """Block mapping H_+ into H_- (outputs s < 0 from inputs r >= 0)."""
-        return self.matrix[:self.cut, self.cut:]
-
-    @property
-    def plus_minus(self):
-        return self.matrix[self.cut:, :self.cut]
-
-    @property
-    def minus_minus(self):
-        return self.matrix[:self.cut, :self.cut]
-
-
 def _operator_entries(X, rows, cols):
     """The rows of output modes ``rows`` and the columns of input modes
     ``cols`` (ranges) of the multiplication operator of X: the block
@@ -183,21 +155,13 @@ def _operator_entries(X, rows, cols):
     return mat
 
 
-def block_operator(X, K):
-    """Assemble the truncated multiplication operator of a loop."""
-    if K < 1:
-        raise TruncationTooSmall("truncation must be at least 1")
-    modes = range(-K, K)
-    return BlockOperator(K, X.size, _operator_entries(X, modes, modes))
-
-
 def schwinger_trace(X, Y, K, allow_truncated=False):
     """Tr((M_X)_{-+}(M_Y)_{+-} - (M_Y)_{-+}(M_X)_{+-}) at truncation K.
 
     Exact (K-independent) once K >= threshold = max(band X, band Y, 1):
     the off-diagonal blocks only hold modes within one band of the cut, so
-    the operators are built at truncation min(K, threshold) and the cost
-    does not grow with K.  Below the threshold the call raises
+    only those four blocks are built, at truncation min(K, threshold), and
+    the cost does not grow with K.  Below the threshold the call raises
     TruncationTooSmall unless allow_truncated is set, in which case the
     non-converged value at K is returned.
     """
@@ -206,9 +170,15 @@ def schwinger_trace(X, Y, K, allow_truncated=False):
         raise TruncationTooSmall(
             f"truncation {K} below the exactness threshold {threshold}")
     K = min(K, threshold)
-    bx, by = block_operator(X, K), block_operator(Y, K)
-    return complex(np.trace(bx.minus_plus @ by.plus_minus
-                            - by.minus_plus @ bx.plus_minus))
+    if K < 1:
+        raise TruncationTooSmall("truncation must be at least 1")
+    minus, plus = range(-K, 0), range(K)
+
+    def blocks(x):  # (M_x)_{-+} and (M_x)_{+-}
+        return _operator_entries(x, minus, plus), _operator_entries(x, plus, minus)
+
+    (xmp, xpm), (ymp, ypm) = blocks(X), blocks(Y)
+    return complex(np.trace(xmp @ ypm - ymp @ xpm))
 
 
 def schwinger_residue(X, Y):
@@ -255,46 +225,38 @@ def jacobi_defect(u, v, w):
 
 @dataclass(frozen=True)
 class DiracDefect:
-    """[D, M_X] next to its prediction -i M_{X'}, compared away from the
-    truncation edges (modes |m| <= window on both sides)."""
+    """[D, M_X] next to its prediction -i M_{X'} on the interior modes
+    -window..min(window, K - 1), away from the truncation edges: both
+    matrices hold only those input and output modes, and
+    interior_deviation is the largest entry of their difference."""
     commutator: np.ndarray
     predicted: np.ndarray
     window: int
     interior_deviation: float
 
 
-def _mode_numbers(K, N):
-    """The diagonal of D: the mode of each coordinate of the truncated space."""
-    return np.repeat(np.arange(-K, K), N)
-
-
-def _interior_slice(matrix, K, N, window):
-    idx = np.flatnonzero(np.abs(_mode_numbers(K, N)) <= window)
-    return matrix[np.ix_(idx, idx)]
-
-
-def _commutator(d_rows, m, d_cols):
-    """[D, M] restricted to the given rows and columns of D's diagonal:
-    entry (s, r) is (d_s - d_r) M_sr, as each row of D M has one term."""
-    return d_rows[:, None] * m - m * d_cols
+def _commutator(x, rows, cols):
+    """The rows of output modes ``rows`` and the columns of input modes
+    ``cols`` (ranges) of [D, M_x]: D is diagonal, so entry (s, r) is
+    s M_sr - M_sr r, one term of D M and one of M D."""
+    m = _operator_entries(x, rows, cols)
+    return np.repeat(rows, x.size)[:, None] * m - m * np.repeat(cols, x.size)
 
 
 def dirac_defect(X, K):
     """Commutator of the mode-number operator with M_X, with prediction.
 
-    Requires K >= band + 1; the two matrices are compared on input and
-    output modes with |mode| <= K - band.
+    Requires K >= band + 1; only the input and output modes with
+    |mode| <= window = K - band are built, where the two agree.
     """
     if K < X.band + 1:
         raise TruncationTooSmall(
             f"truncation {K} too small for band {X.band} (need K >= band+1)")
-    N = X.size
-    d = _mode_numbers(K, N)
-    commutator = _commutator(d, block_operator(X, K).matrix, d)
-    predicted = -1j * block_operator(X.derivative(), K).matrix
     window = K - X.band
-    dev = float(np.max(np.abs(_interior_slice(commutator - predicted, K, N, window)))) \
-        if commutator.size else 0.0
+    inner = range(-window, min(window, K - 1) + 1)
+    commutator = _commutator(X, inner, inner)
+    predicted = -1j * _operator_entries(X.derivative(), inner, inner)
+    dev = float(np.max(np.abs(commutator - predicted))) if commutator.size else 0.0
     return DiracDefect(commutator, predicted, window, dev)
 
 
@@ -313,24 +275,16 @@ def defect_curvature(X, Y, K):
     modes with |mode| <= K - 2*max(band) are kept; there the matrix equals
     its untruncated value.  Only those interior rows and columns are
     built and computed: the interior rows of [D, M_X] times the interior
-    columns of [D, M_Y], and so on, and the interior block of M_[X,Y].
+    columns of [D, M_Y], and so on, and the interior block of [D, M_[X,Y]].
     """
     mb = max(X.band, Y.band)
     if K < 2 * mb + 1:
         raise TruncationTooSmall(
             f"truncation {K} too small for bands {X.band},{Y.band} "
             f"(need K >= {2 * mb + 1})")
-    N = X.size
     window = K - 2 * mb
     modes, inner = range(-K, K), range(-window, window + 1)
-    d, di = _mode_numbers(K, N), np.repeat(inner, N)
-
-    def rows(x):  # interior rows of [D, M_x]
-        return _commutator(di, _operator_entries(x, inner, modes), d)
-
-    def cols(x):  # interior columns of [D, M_x]
-        return _commutator(d, _operator_entries(x, modes, inner), di)
-
-    mxy = _operator_entries(X.bracket(Y), inner, inner)
-    matrix = rows(X) @ cols(Y) - rows(Y) @ cols(X) - _commutator(di, mxy, di)
+    matrix = (_commutator(X, inner, modes) @ _commutator(Y, modes, inner)
+              - _commutator(Y, inner, modes) @ _commutator(X, modes, inner)
+              - _commutator(X.bracket(Y), inner, inner))
     return DefectCurvature(matrix, window, tuple(inner))

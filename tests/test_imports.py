@@ -37,10 +37,10 @@ EXPORTS = {
                "TrivializeResult change_lifts check_gerbe_module "
                "check_twisted_cocycle lifts_via_section obstruction trivialize",
     "nerve": "Nerve build_nerve faces random_nerve simplices",
-    "schwinger": "BlockOperator CentralElement DefectCurvature DiracDefect "
-                 "LoopPolynomial block_operator cocycle_identity_defect "
-                 "defect_curvature dirac_defect extension_bracket jacobi_defect "
-                 "loop_scale schwinger_residue schwinger_trace",
+    "schwinger": "CentralElement DefectCurvature DiracDefect LoopPolynomial "
+                 "cocycle_identity_defect defect_curvature dirac_defect "
+                 "extension_bracket jacobi_defect loop_scale schwinger_residue "
+                 "schwinger_trace",
 }
 
 

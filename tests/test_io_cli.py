@@ -50,6 +50,39 @@ def test_parse_sample_loops():
     assert x.band == 1 and x.size == 2
 
 
+def write_loop(path, size, modes):
+    entries = "".join(f"  - mode: {m}\n    matrix: [[1, 0]]\n" for m in modes)
+    path.write_text(f"kind: loop\nformat: v1\nsize: {size}\n"
+                    f"coefficients:\n{entries or '  []'}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("size,modes,message", [
+    ("0", [], "size must be an integer >= 1, got 0"),
+    ("-1", [1], "size must be an integer >= 1, got -1"),
+    ("1.0", [1], "size must be an integer >= 1, got 1.0"),
+    ("'1'", [1], "size must be an integer >= 1, got '1'"),
+    ("true", [1], "size must be an integer >= 1, got True"),
+    ("1", ["1.7", 1], "mode must be an integer, got 1.7"),
+    ("1", ["'1'"], "mode must be an integer, got '1'"),
+    ("1", ["true"], "mode must be an integer, got True"),
+    ("1", [1, 0, 1], "mode 1 appears twice"),
+])
+def test_loop_file_rejects_bad_size_and_modes(tmp_path, capsys, size, modes, message):
+    path = write_loop(tmp_path / "loop.yaml", size, modes)
+    with pytest.raises(ProblemFileError, match=message):
+        gio.parse_loop(path)
+    assert cli.main(["schwinger", path, "--mode", "defect"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_loop_file_with_integer_modes_parses(tmp_path):
+    x = gio.parse_loop(write_loop(tmp_path / "loop.yaml", 1, [-2, 0, 3]))
+    assert sorted(x.coeffs) == [-2, 0, 3] and x.band == 3
+
+
 def test_parse_sample_bundle():
     build, options = gio.parse_bundle(str(SAMPLES / "bundle_sphere_degree1.yaml"))
     assert options["clutching"] == 1
@@ -232,6 +265,23 @@ def test_cli_schwinger_explicit_truncation_is_kept(mode, truncation, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert f"truncation {truncation} " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode,count", [("defect", 2), ("trace", 3)])
+def test_cli_schwinger_rejects_extra_loop_files(mode, count, capsys):
+    loops = [str(SAMPLES / "loop_single_mode.yaml")] * count
+    assert cli.main(["schwinger", *loops, "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert f"mode {mode} takes {count - 1} loop files, got {count}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_schwinger_rejects_loop_files_with_random(capsys):
+    loop = str(SAMPLES / "loop_single_mode.yaml")
+    assert cli.main(["schwinger", loop, "--mode", "defect", "--random", "2,2"]) == 2
+    captured = capsys.readouterr()
+    assert "loop files or --random, not both" in captured.err
     assert captured.out == ""
 
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from gerbelab import schwinger
-from gerbelab.schwinger import (BlockOperator, CentralElement, LoopPolynomial,
-                                block_operator, cocycle_identity_defect,
-                                defect_curvature, dirac_defect,
-                                extension_bracket, jacobi_defect, loop_scale,
-                                schwinger_residue, schwinger_trace,
-                                _interior_slice)
+from gerbelab.schwinger import (CentralElement, LoopPolynomial,
+                                cocycle_identity_defect, defect_curvature,
+                                dirac_defect, extension_bracket, jacobi_defect,
+                                loop_scale, schwinger_residue, schwinger_trace,
+                                _operator_entries)
 from gerbelab.errors import ShapeMismatch, TruncationTooSmall
 from oracles import toeplitz_assembly
 
@@ -19,9 +18,10 @@ def rand_loop(rng, size, band):
 # Dense oracles: the formulas as written, on the full truncated space.
 
 def dense_trace(x, y, K):
-    bx, by = block_operator(x, K), block_operator(y, K)
-    return complex(np.trace(bx.minus_plus @ by.plus_minus
-                            - by.minus_plus @ bx.plus_minus))
+    mx, my = toeplitz_assembly(x, K), toeplitz_assembly(y, K)
+    cut = K * x.size
+    return complex(np.trace(mx[:cut, cut:] @ my[cut:, :cut]
+                            - my[:cut, cut:] @ mx[cut:, :cut]))
 
 
 def dense_mode_operator(K, N):
@@ -33,36 +33,60 @@ def dense_commutator(K, m):
     return d @ m - m @ d
 
 
-# --- block operator --------------------------------------------------------
+def interior(matrix, K, N, window):
+    """The rows and columns of modes |m| <= window of a 2KN x 2KN matrix."""
+    idx = np.flatnonzero(np.abs(np.repeat(np.arange(-K, K), N)) <= window)
+    return matrix[np.ix_(idx, idx)]
+
+
+def polarization_blocks(loop, K):
+    """(M_X)_{-+}, (M_X)_{+-} and (M_X)_{--} at truncation K: H_- holds the
+    modes -K..-1 and H_+ the modes 0..K-1."""
+    minus, plus = range(-K, 0), range(K)
+    return (_operator_entries(loop, minus, plus),
+            _operator_entries(loop, plus, minus),
+            _operator_entries(loop, minus, minus))
+
+
+# --- operator entries ------------------------------------------------------
 
 def test_constant_loop_is_block_diagonal():
     c = np.array([[1.0, 2.0], [3.0, 4.0]])
-    op = block_operator(LoopPolynomial(2, {0: c}), 3)
-    assert np.all(op.minus_plus == 0)
-    assert np.all(op.plus_minus == 0)
-    assert np.allclose(op.minus_minus, np.kron(np.eye(3), c))
+    minus_plus, plus_minus, minus_minus = \
+        polarization_blocks(LoopPolynomial(2, {0: c}), 3)
+    assert np.all(minus_plus == 0)
+    assert np.all(plus_minus == 0)
+    assert np.allclose(minus_minus, np.kron(np.eye(3), c))
 
 
 def test_single_mode_off_diagonal_convention():
     # X(z) = z: couples r to r+1; no (+ -> -) coupling at all
-    up = block_operator(LoopPolynomial(1, {1: [[1.0]]}), 2)
-    assert np.all(up.minus_plus == 0)
-    assert np.count_nonzero(up.plus_minus) == 1
+    minus_plus, plus_minus, _ = polarization_blocks(LoopPolynomial(1, {1: [[1.0]]}), 2)
+    assert np.all(minus_plus == 0)
+    assert np.count_nonzero(plus_minus) == 1
     # X(z) = 1/z: exactly one coupling from r=0 down to s=-1
-    down = block_operator(LoopPolynomial(1, {-1: [[1.0]]}), 2)
-    assert np.count_nonzero(down.minus_plus) == 1
-    assert down.minus_plus[1, 0] == 1.0  # row: mode -1, col: mode 0
+    minus_plus, _, _ = polarization_blocks(LoopPolynomial(1, {-1: [[1.0]]}), 2)
+    assert np.count_nonzero(minus_plus) == 1
+    assert minus_plus[1, 0] == 1.0  # row: mode -1, col: mode 0
 
 
 def test_assembly_matches_brute_force():
+    """The full operator, and any row and column ranges of it, against the
+    brute-force assembly over (s, r)."""
     rng = np.random.default_rng(0)
     for _ in range(10):
         size = int(rng.integers(1, 4))
         band = int(rng.integers(0, 5))
         K = band + int(rng.integers(1, 4))
         loop = rand_loop(rng, size, band)
-        got = block_operator(loop, K).matrix
-        assert np.array_equal(got, toeplitz_assembly(loop, K))
+        full = toeplitz_assembly(loop, K)
+        modes = range(-K, K)
+        assert np.array_equal(_operator_entries(loop, modes, modes), full)
+        (r0, r1), (c0, c1) = (sorted(rng.integers(-K, K + 1, size=2) + K)
+                              for _ in range(2))
+        block = full[r0 * size:r1 * size, c0 * size:c1 * size]
+        got = _operator_entries(loop, range(r0 - K, r1 - K), range(c0 - K, c1 - K))
+        assert np.array_equal(got, block)
 
 
 # --- trace and residue -----------------------------------------------------
@@ -112,6 +136,9 @@ def test_truncation_guard():
         schwinger_trace(x, y, 3)
     value = schwinger_trace(x, y, 3, allow_truncated=True)
     assert isinstance(value, complex)
+    for k in (0, -2):
+        with pytest.raises(TruncationTooSmall, match="at least 1"):
+            schwinger_trace(x, y, k, allow_truncated=True)
 
 
 def test_trace_matches_dense_formula_and_is_equal_across_truncations():
@@ -129,25 +156,51 @@ def test_trace_matches_dense_formula_and_is_equal_across_truncations():
         assert values[1] == values[0] and values[2] == values[0]
 
 
+def spy_on_entries(monkeypatch):
+    """Record the (rows, cols) mode ranges of every operator built."""
+    seen = []
+    real = schwinger._operator_entries
+
+    def spy(loop, rows, cols):
+        seen.append((rows, cols))
+        return real(loop, rows, cols)
+
+    monkeypatch.setattr(schwinger, "_operator_entries", spy)
+    return seen
+
+
+def off_diagonal(K):
+    minus, plus = range(-K, 0), range(K)
+    return [(minus, plus), (plus, minus)] * 2
+
+
 def test_trace_builds_operators_at_the_band(monkeypatch):
+    """Only the four off-diagonal blocks, at truncation min(K, threshold)."""
     rng = np.random.default_rng(18)
     x, y = rand_loop(rng, 2, 3), rand_loop(rng, 2, 2)
-    seen = []
-    real = schwinger.block_operator
-
-    def spy(loop, K):
-        seen.append(K)
-        return real(loop, K)
-
-    monkeypatch.setattr(schwinger, "block_operator", spy)
+    seen = spy_on_entries(monkeypatch)
     for k in (3, 4, 12):
         schwinger_trace(x, y, k)
     schwinger_trace(x, y, 2, allow_truncated=True)
-    assert seen == [3] * 6 + [2, 2]
+    assert seen == off_diagonal(3) * 3 + off_diagonal(2)
     seen.clear()
     constant = LoopPolynomial(2, {0: np.eye(2)})
     schwinger_trace(constant, constant, 5)
-    assert seen == [1, 1]
+    assert seen == off_diagonal(1)
+
+
+def test_trace_never_builds_a_mode_past_the_threshold(monkeypatch):
+    rng = np.random.default_rng(22)
+    seen = spy_on_entries(monkeypatch)
+    for n, b in ((1, 1), (2, 3), (4, 2), (3, 8)):
+        x, y = rand_loop(rng, n, b), rand_loop(rng, n, int(rng.integers(0, b + 1)))
+        for k in range(1, 4 * b + 1):
+            seen.clear()
+            schwinger_trace(x, y, k, allow_truncated=True)
+            assert len(seen) == 4
+            for ranges in seen:
+                for r in ranges:
+                    assert -b <= r.start and r.stop <= b
 
 
 def test_truncated_trace_matches_dense_formula():
@@ -242,10 +295,12 @@ def test_constant_loop_has_zero_defect():
 
 
 def test_single_mode_hand_assembly():
-    # N=1, X = z at K=3: [D, M_X] has ones on the first subdiagonal
+    # N=1, X = z at K=3: the interior modes are -2..2, and there [D, M_X]
+    # has ones on the first subdiagonal
     result = dirac_defect(LoopPolynomial(1, {1: [[1.0]]}), 3)
-    expected = np.zeros((6, 6), dtype=complex)
-    for r in range(5):
+    assert result.window == 2
+    expected = np.zeros((5, 5), dtype=complex)
+    for r in range(4):
         expected[r + 1, r] = 1.0
     assert np.array_equal(result.commutator, expected)
     assert np.array_equal(result.predicted, expected)
@@ -262,15 +317,38 @@ def test_interior_equality_random():
 
 
 def test_dirac_commutator_equals_dense_products():
+    """Bit for bit: the interior of D M - M D and of -i M_{X'} on the
+    brute-force assembly, and the largest entry of their difference."""
     rng = np.random.default_rng(20)
     for _ in range(15):
         n = int(rng.integers(1, 4))
         b = int(rng.integers(0, 5))
         loop = rand_loop(rng, n, b)
         for k in range(b + 1, b + 4):
-            m = block_operator(loop, k).matrix
-            got = dirac_defect(loop, k).commutator
-            assert np.array_equal(got, dense_commutator(k, m))
+            result = dirac_defect(loop, k)
+            assert result.window == k - b
+            commutator = interior(dense_commutator(k, toeplitz_assembly(loop, k)),
+                                  k, n, k - b)
+            predicted = interior(-1j * toeplitz_assembly(loop.derivative(), k),
+                                 k, n, k - b)
+            assert np.array_equal(result.commutator, commutator)
+            assert np.array_equal(result.predicted, predicted)
+            assert result.interior_deviation == \
+                np.max(np.abs(commutator - predicted))
+
+
+def test_dirac_defect_builds_only_the_interior(monkeypatch):
+    rng = np.random.default_rng(23)
+    seen = spy_on_entries(monkeypatch)
+    for n, b in ((1, 0), (2, 1), (3, 4), (2, 8)):
+        loop = rand_loop(rng, n, b)
+        for k in range(b + 1, 3 * b + 3):
+            seen.clear()
+            dirac_defect(loop, k)
+            window = k - b
+            assert len(seen) == 2
+            for ranges in seen:
+                assert ranges == (range(-window, min(window, k - 1) + 1),) * 2
 
 
 def test_dirac_truncation_guard():
@@ -321,10 +399,10 @@ def test_matches_closed_form():
         k = 2 * mb + 2
         result = defect_curvature(x, y, k)
         xp, yp = x.derivative(), y.derivative()
-        closed = (-block_operator(xp.bracket(yp), k).matrix
-                  + 1j * block_operator(xp.bracket(y), k).matrix
-                  + 1j * block_operator(x.bracket(yp), k).matrix)
-        closed_interior = _interior_slice(closed, k, x.size, result.window)
+        closed = (-toeplitz_assembly(xp.bracket(yp), k)
+                  + 1j * toeplitz_assembly(xp.bracket(y), k)
+                  + 1j * toeplitz_assembly(x.bracket(yp), k))
+        closed_interior = interior(closed, k, x.size, result.window)
         dev = np.max(np.abs(result.matrix - closed_interior))
         assert dev <= 1e-10 * loop_scale(x, y)
 
@@ -339,13 +417,13 @@ def test_curvature_matches_dense_products_on_the_interior():
                 x, y = y, x
             scale = loop_scale(x, y)
             for k in range(2 * b + 1, 2 * b + 5):
-                mx = block_operator(x, k).matrix
-                my = block_operator(y, k).matrix
+                mx = toeplitz_assembly(x, k)
+                my = toeplitz_assembly(y, k)
                 dx, dy = dense_commutator(k, mx), dense_commutator(k, my)
                 full = dx @ dy - dy @ dx \
-                    - dense_commutator(k, block_operator(x.bracket(y), k).matrix)
+                    - dense_commutator(k, toeplitz_assembly(x.bracket(y), k))
                 result = defect_curvature(x, y, k)
-                expected = _interior_slice(full, k, n, k - 2 * b)
+                expected = interior(full, k, n, k - 2 * b)
                 assert result.window == k - 2 * b
                 assert result.matrix.shape == expected.shape
                 assert np.max(np.abs(result.matrix - expected)) <= 1e-12 * scale
@@ -435,8 +513,8 @@ def test_curvature_equals_the_full_operator_formula(n, b):
         window = k - 2 * b
         d = np.repeat(np.arange(-k, k), n)
         inner = np.flatnonzero(np.abs(d) <= window)
-        mx, my = block_operator(x, k).matrix, block_operator(y, k).matrix
-        mxy = block_operator(x.bracket(y), k).matrix[np.ix_(inner, inner)]
+        mx, my = toeplitz_assembly(x, k), toeplitz_assembly(y, k)
+        mxy = toeplitz_assembly(x.bracket(y), k)[np.ix_(inner, inner)]
 
         def rows(m):
             return d[inner][:, None] * m[inner] - m[inner] * d
