@@ -13,11 +13,14 @@ cocycle equation written multiplicatively is a_ijk a_ikl =
 sigma^{eps_ij}(a_jkl) a_ijl, the quadruple-overlap identity of lifting
 obstructions.
 
-Cohomology over the integers, mod n and the reals is read off the integer
-invariant factors of the coboundaries in exact arithmetic (universal
-coefficients for mod n; the Smith rank for reals).  Whether a cocycle is a
-coboundary is read off the cached integer Smith form S d_{k-1} T = D: over
-Z and Z/n in exact arithmetic, over R and R/Z by one rule past the rank,
+Each degree has one cached sparse integer Smith form S d_k T = D
+(snf.SparseSmithForm): one unit-pivot elimination whose row operations are
+recorded, so S, S^-1 and T are applied to vectors and never built.
+Cohomology over the integers, mod n and the reals is read off its
+invariant factors in exact arithmetic (universal coefficients for mod n;
+the Smith rank for reals).  Whether a cocycle is a coboundary is read off
+the form of d_{k-1}: over Z in exact arithmetic, over Z/n from the dense
+form of [d_{k-1} | nI], over R and R/Z by one rule past the rank,
 where (S z)_i must be a multiple of a period, 0 for R and 1 for R/Z, to
 within tol |S_i|_1 max(1, |z|_inf).  When it is not, the integral row S_i
 is the certificate.  The Bockstein route (lift, take the coboundary, read
@@ -28,7 +31,7 @@ when their integer coboundaries agree.
 """
 
 from dataclasses import dataclass, field, replace
-from math import gcd
+from math import gcd, isfinite
 from typing import Optional
 
 from . import snf as _snf
@@ -75,12 +78,14 @@ class TwistedLocalSystem:
         return self.eps[self.nerve.index_of(e)]
 
     def with_coefficients(self, coeff):
-        """The same nerve and twist over ``coeff``.  The cache is shared
-        when the integer coboundary is the same, i.e. the involution is
-        negation in both systems or in neither."""
-        other = TwistedLocalSystem(self.nerve, coeff, self.eps)
-        if (coeff.involution == NEGATION) == (self.coeff.involution == NEGATION):
-            other._cache = self._cache
+        """The same nerve and twist over ``coeff``; the twist, checked
+        when this system was made, is not checked again.  The cache is
+        shared when the integer coboundary is the same, i.e. the involution
+        is negation in both systems or in neither."""
+        other = object.__new__(TwistedLocalSystem)
+        other.nerve, other.coeff, other.eps = self.nerve, coeff, self.eps
+        same = (coeff.involution == NEGATION) == (self.coeff.involution == NEGATION)
+        other._cache = self._cache if same else {}
         return other
 
     def twist_is_trivial(self):
@@ -116,17 +121,13 @@ class TwistedLocalSystem:
         return self._cache[key]
 
     def delta_snf(self, k):
+        """Sparse integer Smith form of d_k (snf.SparseSmithForm): its
+        invariant factors give H^k, and its recorded elimination solves and
+        certifies over Z, R and R/Z."""
         key = ("snf", k)
         if key not in self._cache:
-            self._cache[key] = _snf.smith_normal_form(
+            self._cache[key] = _snf.SparseSmithForm(
                 self.delta_matrix(k), ncols=self.nerve.count(k))
-        return self._cache[key]
-
-    def delta_invariants(self, k):
-        """Nonzero invariant factors of d_k, computed without transforms."""
-        key = ("invariants", k)
-        if key not in self._cache:
-            self._cache[key] = tuple(_snf.invariant_factors(self.delta_matrix(k)))
         return self._cache[key]
 
     def delta_snf_mod(self, k):
@@ -150,11 +151,15 @@ class Cochain:
 
 
 def cochain(sys, degree, values):
+    """A cochain over the system's coefficients.  Raises ValueError on the
+    wrong number of values or on a NaN or infinite real or circle value."""
     vals = tuple(sys.coeff.normalize(v) for v in values)
     if len(vals) != sys.nerve.count(degree):
         raise ValueError(
             f"degree-{degree} cochain needs {sys.nerve.count(degree)} values, "
             f"got {len(vals)}")
+    if not sys.coeff.exact and not all(isfinite(v) for v in vals):
+        raise ValueError(f"degree-{degree} cochain has a non-finite value")
     return Cochain(degree, vals)
 
 
@@ -189,10 +194,13 @@ def random_cochain(sys, degree, rng):
 
 
 def coboundary(c, sys):
-    """The twisted coboundary; raises DegreeOverflow past degree 3."""
+    """The twisted coboundary; raises DegreeOverflow past degree 3.  The
+    coboundary of the (-1)-cochain is zero, as d_{-1} is."""
     k = c.degree
     if k > MAX_DIM - 1:
         raise DegreeOverflow(f"coboundary of degree {k} exceeds the dimension cap")
+    if k == -1:
+        return zero_cochain(sys, 0)
     coeff = sys.coeff
     out = []
     for s in sys.nerve.simplices[k + 1]:
@@ -258,8 +266,8 @@ def cohomology(sys, k):
     n_k = sys.nerve.count(k)
     if n_k == 0:
         return CohomologyGroup(0, (), kind)
-    out = sys.delta_invariants(k)
-    into = sys.delta_invariants(k - 1)
+    out = sys.delta_snf(k).diag
+    into = sys.delta_snf(k - 1).diag
     free = n_k - len(out) - len(into)
     if kind == INTEGERS:
         return CohomologyGroup(free, tuple(d for d in into if d > 1), kind)
@@ -301,10 +309,12 @@ class CoboundaryResult:
 def is_coboundary(z, sys):
     """Solve d b = z, or certify that no primitive exists.
 
-    Every ring reads the cached integer Smith form S d_{k-1} T = D, with
-    nonzero factors d_i for i < r.  Z takes one exact pass of snf.solve
-    over it, Z/n one over the form of [d_{k-1} | nI] (the primitive cut to
-    its first count(k-1) entries).  R and R/Z (u1_is_coboundary) share one
+    Z, R and R/Z read the cached sparse Smith form S d_{k-1} T = D, with
+    nonzero factors d_i for i < r; S z is the recorded row operations
+    applied forward, T y a back-substitution, and a row S_i is formed only
+    for a certificate.  Z takes one exact pass of snf.solve over it, Z/n
+    one over the dense form of [d_{k-1} | nI] (the primitive cut to its
+    first count(k-1) entries).  R and R/Z (u1_is_coboundary) share one
     reading with a period p, 0 for R and 1 for R/Z: z is exact when every
     (S z)_i with i >= r is within tol |S_i|_1 max(1, |z|_inf) of a multiple
     of p, where tol = max(tolerance, 1e-12) for R and max(tolerance, 1e-9)
@@ -343,7 +353,8 @@ def _solve_past_rank(z, sys, period, tol):
     Topology, Thm 3A.3).  With e the past-rank part of S z less its
     multiples of the period, the primitive has d b = z - S^-1 e mod the
     period; the self-check holds d b to that, or to z, within tol
-    max(1, |z|_inf).
+    max(1, |z|_inf).  A row S_i is built only when (S z)_i misses by more
+    than tol max(1, |z|_inf), since |S_i|_1 >= 1.
     """
     k = z.degree
     s = sys.delta_snf(k - 1)
@@ -353,22 +364,24 @@ def _solve_past_rank(z, sys, period, tol):
     def rem(v):  # v less its nearest multiple of the period
         return v - period * round(v / period) if period else v
 
-    sz = _snf.matvec(s.s, lift)
+    sz = s.apply_s(lift)
     for i in range(s.rank, s.nrows):
-        if abs(rem(sz[i])) > bound * sum(map(abs, s.s[i])):
-            return CoboundaryResult(False, None, Certificate(
-                tuple(s.s[i]), period, sz[i] % period if period else sz[i],
-                stage="real-vs-integral" if period else "linear"))
+        off = abs(rem(sz[i]))
+        if off > bound:
+            row = s.row_of_s(i)
+            if off > bound * sum(map(abs, row)):
+                return CoboundaryResult(False, None, Certificate(
+                    tuple(row), period, sz[i] % period if period else sz[i],
+                    stage="real-vs-integral" if period else "linear"))
     y = [sz[i] / s.diag[i] for i in range(s.rank)] + [0.0] * (s.ncols - s.rank)
-    b = _snf.matvec(s.t, y)
-    db = _snf.matvec(sys.delta_matrix(k - 1), b)
+    primitive = cochain(sys, k - 1, s.apply_t(y))
+    db = coboundary(primitive, sys).values
     miss = [rem(x - v) for x, v in zip(db, lift)]
-    if any(abs(m) > bound for m in miss):  # e was past tol: subtract S^-1 e
-        e = [rem(v) for v in sz[s.rank:]]
-        fix = _snf.matvec([row[s.rank:] for row in s.s_inv], e)
-        if any(abs(rem(m + f)) > bound for m, f in zip(miss, fix)):
+    if any(not abs(m) <= bound for m in miss):  # e was past tol: subtract S^-1 e
+        fix = s.apply_s_inv([0.0] * s.rank + [rem(v) for v in sz[s.rank:]])
+        if any(not abs(rem(m + f)) <= bound for m, f in zip(miss, fix)):
             raise AssertionError(f"degree-{k} primitive fails d b = z")
-    return CoboundaryResult(True, cochain(sys, k - 1, b), None)
+    return CoboundaryResult(True, primitive, None)
 
 
 def u1_is_coboundary(z, sys):
@@ -405,12 +418,12 @@ def _integral_coboundary_of_lift(z, sys):
     k = z.degree
     if not is_cocycle(z, sys):
         raise NotU1Cocycle(f"degree-{k} cochain is not closed modulo 1")
-    lift = [float(v) for v in z.values]
-    rows = sys.delta_matrix(k)
+    lift = Cochain(k, tuple(float(v) for v in z.values))
+    real_sys = sys.with_coefficients(
+        CoefficientGroup.reals(involution=sys.coeff.involution))
     tol = max(sys.coeff.tolerance, 1e-9)
     n_int = []
-    for row in rows:
-        val = sum(row[i] * lift[i] for i in range(len(lift)))
+    for val in coboundary(lift, real_sys).values if k < MAX_DIM else ():
         r = round(val)
         if abs(val - r) > tol:
             raise LiftNotIntegral(

@@ -125,10 +125,11 @@ def half_integer_two_cocycle(system):
     """A circle-valued 2-cocycle whose Dixmier-Douady class generates the
     2-torsion of H^3 of the given integer system's nerve.
 
-    Exact, from the Smith form S d_2 T = D: for an invariant factor
+    Exact, from the sparse Smith form S d_2 T = D: for an invariant factor
     d_i = 2, x = T e_i / 2 has d x = S^-1 e_i, an integer 3-cocycle of
     order exactly 2.  So x mod 1, with values in {0, 1/2}, is a circle
-    cocycle with that Bockstein.  Requires a nerve with no 4-simplices.
+    cocycle with that Bockstein.  T e_i is one back-substitution through
+    the recorded elimination.  Requires a nerve with no 4-simplices.
     """
     if system.nerve.count(4):
         raise ValueError("construction assumes a nerve of dimension <= 3")
@@ -136,10 +137,10 @@ def half_integer_two_cocycle(system):
     order2 = [i for i, d in enumerate(s.diag) if d == 2]
     if not order2:
         raise ValueError("nerve has no 2-torsion in degree-3 cohomology")
-    i = order2[0]
+    column = s.apply_t([int(j == order2[0]) for j in range(s.ncols)])
     circle_sys = system.with_coefficients(
         CoefficientGroup.circle(involution=system.coeff.involution))
-    return cech.cochain(circle_sys, 2, [row[i] % 2 / 2 for row in s.t]), circle_sys
+    return cech.cochain(circle_sys, 2, [v % 2 / 2 for v in column]), circle_sys
 
 
 def standard_corpus():

@@ -2,13 +2,16 @@
 
 Smith normal form with unimodular transforms, kernel bases, and an
 integer solve that returns either a solution or an image-membership
-certificate from one scan of S b.  Matrices are
-lists of lists of Python ints; sizes here are nerve-sized (a few hundred),
-so clarity and exactness win over asymptotics.
+certificate from one scan of S b.  Matrices are lists of lists of Python
+ints.
 
-``invariant_factors`` is the transform-free route for when only the
-invariants are wanted (cohomology groups): sparse rows, +-1 pivots first,
-and the dense Smith form only for the small block left without a unit.
+Two forms share one interface (``apply_s``, ``row_of_s``, ``apply_t``),
+so ``solve`` reads either.  ``SparseSmithForm`` is the one elimination
+behind the coboundaries: +-1 pivots first on sparse rows, its row
+operations recorded instead of multiplied out, and the dense
+``smith_normal_form`` only for the small block left without a unit (Dumas,
+Saunders and Villard, J. Symbolic Comput. 32, 2001).  The dense form with
+explicit S, S^-1 and T also serves [A | nI] for solving mod n.
 """
 
 from heapq import heappop, heappush
@@ -33,6 +36,15 @@ class SmithForm:
         self.s = s
         self.s_inv = s_inv
         self.t = t
+
+    def apply_s(self, b):
+        return matvec(self.s, b)
+
+    def row_of_s(self, i):
+        return list(self.s[i])
+
+    def apply_t(self, y):
+        return matvec(self.t, y)
 
 
 def _identity(n):
@@ -161,62 +173,143 @@ def smith_normal_form_mod(matrix, n, ncols):
     return smith_normal_form(rows, ncols=ncols + nrows)
 
 
-def invariant_factors(matrix):
-    """Nonzero invariant factors of an integer matrix, d_i | d_{i+1}.
+class SparseSmithForm:
+    """Smith form S A T = D of an integer matrix from one sparse elimination.
 
-    The same list as ``smith_normal_form(matrix).diag``, without building
-    transforms.  Rows are sparse {col: val} dicts.  A +-1 entry is a unit
-    pivot: clearing its column by row operations and its row by column
-    operations leaves the Schur complement and one invariant factor 1.
-    Pivots come from the shortest row first and, within it, from the unit
-    in the sparsest column, which keeps fill-in low.  The block left with
-    no unit entry goes to the dense Smith form.
+    Rows are sparse {col: val} dicts.  A +-1 entry is a unit pivot: its
+    column is cleared from every other row by row operations (target row,
+    pivot row, multiplier), which are recorded, and the pivot row is kept
+    as it stands; clearing that row by column operations then leaves the
+    Schur complement and one invariant factor 1.  Pivots come from the
+    shortest row first and, within it, from the unit in the sparsest
+    column, which keeps fill-in low.  The block left with no unit entry
+    goes to the dense ``smith_normal_form``.
+
+    S, S^-1 and T are never built.  With L the recorded row operations,
+    L A holds the pivot rows, the block and zero rows, and the methods
+    below apply S, S^-1 and T to a vector (or give one row of S) by
+    forward application of L, back-substitution through the pivot rows and
+    the block's dense transforms.  The order of S is pivots, then the
+    block, then the zero rows by row index; past the rank come the
+    block's rows past its rank and the zero rows.
     """
-    rows, cols = {}, {}
-    for i, row in enumerate(matrix):
-        sparse = {j: int(v) for j, v in enumerate(row) if v}
-        if sparse:
-            rows[i] = sparse
-            for j in sparse:
-                cols.setdefault(j, set()).add(i)
-    heap = sorted((len(r), i) for i, r in rows.items())
-    units = 0
-    while heap:
-        length, i = heappop(heap)
-        row = rows.get(i)
-        if row is None or len(row) != length:
-            continue  # stale: eliminated or changed since it was pushed
-        unit_cols = [j for j, v in row.items() if v == 1 or v == -1]
-        if not unit_cols:
-            continue  # pushed again if a later elimination changes it
-        j = min(unit_cols, key=lambda c: len(cols[c]))
-        p = row[j]
-        del rows[i]
-        for c in row:
-            cols[c].discard(i)
-        for t in list(cols[j]):
-            target = rows[t]
-            q = target[j] * p  # p = +-1, so dividing by p is multiplying
-            for c, v in row.items():
-                w = target.get(c, 0) - q * v
-                if w:
-                    if c not in target:
-                        cols[c].add(t)
-                    target[c] = w
+
+    __slots__ = ("nrows", "ncols", "diag", "rank", "_ops", "_pivots",
+                 "_block", "_block_rows", "_block_cols", "_zero_rows", "_free_cols")
+
+    def __init__(self, matrix, ncols=None):
+        nrows = len(matrix)
+        ncols = len(matrix[0]) if nrows else (ncols or 0)
+        rows, cols = {}, {}
+        for i, row in enumerate(matrix):
+            sparse = {j: int(v) for j, v in enumerate(row) if v}
+            if sparse:
+                rows[i] = sparse
+                for j in sparse:
+                    cols.setdefault(j, set()).add(i)
+        heap = sorted((len(r), i) for i, r in rows.items())
+        ops, pivots = [], []
+        while heap:
+            length, i = heappop(heap)
+            row = rows.get(i)
+            if row is None or len(row) != length:
+                continue  # stale: eliminated or changed since it was pushed
+            unit_cols = [j for j, v in row.items() if v == 1 or v == -1]
+            if not unit_cols:
+                continue  # pushed again if a later elimination changes it
+            j = min(unit_cols, key=lambda c: len(cols[c]))
+            p = row[j]
+            del rows[i]
+            for c in row:
+                cols[c].discard(i)
+            for t in list(cols[j]):
+                target = rows[t]
+                q = target[j] * p  # p = +-1, so dividing by p is multiplying
+                ops.append((t, i, q))
+                for c, v in row.items():
+                    w = target.get(c, 0) - q * v
+                    if w:
+                        if c not in target:
+                            cols[c].add(t)
+                        target[c] = w
+                    else:
+                        del target[c]
+                        cols[c].discard(t)
+                if target:
+                    heappush(heap, (len(target), t))
                 else:
-                    del target[c]
-                    cols[c].discard(t)
-            if target:
-                heappush(heap, (len(target), t))
-            else:
-                del rows[t]
-        del cols[j]
-        units += 1
-    if not rows:
-        return [1] * units
-    used = sorted({c for r in rows.values() for c in r})
-    block = [[r.get(c, 0) for c in used] for r in rows.values()]
-    return [1] * units + smith_normal_form(block).diag
+                    del rows[t]
+            del cols[j]
+            pivots.append((i, j, p, row))
+        self.nrows, self.ncols = nrows, ncols
+        self._ops, self._pivots = ops, pivots
+        self._block_rows = list(rows)
+        self._block_cols = sorted({c for r in rows.values() for c in r})
+        self._block = smith_normal_form(
+            [[r.get(c, 0) for c in self._block_cols] for r in rows.values()],
+            ncols=len(self._block_cols))
+        nonzero_rows = {i for i, *_ in pivots}.union(rows)
+        self._zero_rows = [i for i in range(nrows) if i not in nonzero_rows]
+        bound_cols = {j for _, j, *_ in pivots}.union(self._block_cols)
+        self._free_cols = [j for j in range(ncols) if j not in bound_cols]
+        self.diag = [1] * len(pivots) + self._block.diag
+        self.rank = len(self.diag)
+
+    def apply_s(self, b):
+        """S b, by the recorded row operations in order, then the block's S."""
+        v = list(b)
+        for t, i, q in self._ops:
+            v[t] -= q * v[i]
+        return ([p * v[i] for i, _, p, _ in self._pivots]
+                + matvec(self._block.s, [v[i] for i in self._block_rows])
+                + [v[i] for i in self._zero_rows])
+
+    def row_of_s(self, k):
+        """Row k of S, an integral functional on the rows of A: e_k S, by
+        the transposed row operations in reverse order."""
+        g = [0] * self.nrows
+        u, m = len(self._pivots), len(self._block_rows)
+        if k < u:
+            i, _, p, _ = self._pivots[k]
+            g[i] = p
+        elif k < u + m:
+            for i, v in zip(self._block_rows, self._block.s[k - u]):
+                g[i] = v
+        else:
+            g[self._zero_rows[k - u - m]] = 1
+        for t, i, q in reversed(self._ops):
+            if g[t]:
+                g[i] -= q * g[t]
+        return g
+
+    def apply_s_inv(self, w):
+        """S^-1 w: the block's S^-1, then the inverse row operations in
+        reverse order."""
+        u, m = len(self._pivots), len(self._block_rows)
+        v = [0] * self.nrows
+        for (i, _, p, _), x in zip(self._pivots, w):
+            v[i] = p * x
+        for i, x in zip(self._block_rows, matvec(self._block.s_inv, w[u:u + m])):
+            v[i] = x
+        for i, x in zip(self._zero_rows, w[u + m:]):
+            v[i] = x
+        for t, i, q in reversed(self._ops):
+            v[t] += q * v[i]
+        return v
+
+    def apply_t(self, y):
+        """T y: the block's T and the free columns, then back-substitution
+        through the pivot rows, last pivot first."""
+        u, n = len(self._pivots), len(self._block_cols)
+        x = [0] * self.ncols
+        for j, v in zip(self._block_cols, matvec(self._block.t, y[u:u + n])):
+            x[j] = v
+        for j, v in zip(self._free_cols, y[u + n:]):
+            x[j] = v
+        for k in range(u - 1, -1, -1):
+            _, j, p, row = self._pivots[k]  # x[j] is still 0 in the sum
+            x[j] = y[k] - p * sum(v * x[c] for c, v in row.items())
+        return x
 
 
 def matvec(matrix, vec):
@@ -224,24 +317,25 @@ def matvec(matrix, vec):
 
 
 def solve(snf, b):
-    """Solve A x = b over the integers given snf = smith_normal_form(A).
+    """Solve A x = b over the integers given a Smith form of A (dense or
+    sparse).
 
     Returns (x, None) when b is in the column space of A, otherwise
     (None, (functional, modulus, value)): the functional f (a row of S)
     kills the image of A modulo ``modulus`` (modulus 0 meaning over the
     integers) yet pairs with b to ``value``, nonzero mod ``modulus``.
     """
-    sb = matvec(snf.s, list(b))
+    sb = snf.apply_s(list(b))
     y = [0] * snf.ncols
     for i in range(snf.nrows):
         if i < snf.rank:
             q, r = divmod(sb[i], snf.diag[i])
             if r:
-                return None, (list(snf.s[i]), snf.diag[i], r)
+                return None, (snf.row_of_s(i), snf.diag[i], r)
             y[i] = q
         elif sb[i]:
-            return None, (list(snf.s[i]), 0, sb[i])
-    return matvec(snf.t, y), None
+            return None, (snf.row_of_s(i), 0, sb[i])
+    return snf.apply_t(y), None
 
 
 def kernel_basis(snf):

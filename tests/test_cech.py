@@ -385,12 +385,28 @@ def test_degree_zero_certificate_is_a_vertex_indicator(coeff, value, modulus, pa
 
 
 @pytest.mark.parametrize("coeff", [CoefficientGroup.reals(), CoefficientGroup.circle()])
+def test_non_finite_real_cochain_is_rejected(coeff):
+    """On S^4 in degree 4 every cochain is closed, so only the cochain's own
+    check stands between a NaN and a claimed primitive."""
+    sys_ = TwistedLocalSystem(models.boundary_simplex(4), coeff)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            cochain(sys_, 4, [bad] + [0.0] * (sys_.nerve.count(4) - 1))
+    z = cochain(sys_, 4, [0.25] + [0.0] * (sys_.nerve.count(4) - 1))
+    cert = is_coboundary(z, sys_).certificate
+    pairing = sum(f * v for f, v in zip(cert.functional, z.values))
+    assert abs(pairing) == 0.25
+    assert cert.pairing == (pairing % 1 if cert.modulus else pairing)
+
+
+@pytest.mark.parametrize("coeff", [CoefficientGroup.reals(), CoefficientGroup.circle()])
 def test_real_primitive_self_check_catches_a_wrong_transform(coeff, monkeypatch):
     sys_ = TwistedLocalSystem(models.rp2_nerve(), coeff)
     z = coboundary(random_cochain(sys_, 1, np.random.default_rng(19)), sys_)
     assert is_coboundary(z, sys_).trivial
-    s = sys_.delta_snf(1)
-    monkeypatch.setattr(s, "t", [[2 * x for x in row] for row in s.t])
+    form = type(sys_.delta_snf(1))
+    apply_t = form.apply_t
+    monkeypatch.setattr(form, "apply_t", lambda self, y: [2 * x for x in apply_t(self, y)])
     with pytest.raises(AssertionError, match="primitive"):
         is_coboundary(z, sys_)
 
@@ -406,12 +422,26 @@ def test_circle_decision_bound_is_tol_times_the_row_norm(coeff):
     assert abs(outside.certificate.pairing) == pytest.approx(4e-9)
 
 
+def dense_s(form):
+    """S and S^-1 of a sparse Smith form as arrays, a row or a column at a time."""
+    n = form.nrows
+    s = np.array([form.row_of_s(i) for i in range(n)], dtype=np.int64).reshape(n, n)
+    s_inv = np.array([form.apply_s_inv([int(i == j) for i in range(n)])
+                      for j in range(n)], dtype=np.int64).reshape(n, n).T
+    return s, s_inv
+
+
+def kernel_of(form):
+    """Columns of T past the rank: a basis of the integer kernel."""
+    return [form.apply_t([int(i == j) for i in range(form.ncols)])
+            for j in range(form.rank, form.ncols)]
+
+
 def test_past_rank_band_passes_the_self_check():
     """A non-exact part with (S z)_i between tol and tol |S_i|_1 past the
     rank is exact by the decision, so the primitive's self-check must
     accept it; d b - z is then bounded by |S^-1|_inf times the decision's
     bound, not by tol alone."""
-    from gerbelab.snf import kernel_basis
     rng = np.random.default_rng(23)
     band = set()
     for label, real_sys in real_systems():
@@ -423,10 +453,11 @@ def test_past_rank_band_passes_the_self_check():
                 if not sys_.nerve.count(k):
                     continue
                 s = sys_.delta_snf(k - 1)
-                kernel = np.array(kernel_basis(sys_.delta_snf(k)), dtype=np.int64)
+                s_rows, s_inv = dense_s(s)
+                kernel = np.array(kernel_of(sys_.delta_snf(k)), dtype=np.int64)
                 c = kernel.T @ rng.integers(-1, 2, len(kernel))
-                sc = np.array(s.s) @ c
-                norms = np.abs(np.array(s.s)).sum(axis=1)
+                sc = s_rows @ c
+                norms = np.abs(s_rows).sum(axis=1)
                 past = [i for i in range(s.rank, s.nrows) if sc[i]]
                 if not past:
                     continue  # c is exact
@@ -440,8 +471,8 @@ def test_past_rank_band_passes_the_self_check():
                     band.add((label, period, k))
                 residual = np.array(coboundary(result.primitive, sys_).values) - z.values
                 residual -= period * np.round(residual) if period else 0
-                s_inv = np.abs(np.array(s.s_inv)).sum(axis=1).max()
-                assert np.abs(residual).max() <= 1.01 * bound * norms.max() * s_inv
+                s_inv_norm = np.abs(s_inv).sum(axis=1).max()
+                assert np.abs(residual).max() <= 1.01 * bound * norms.max() * s_inv_norm
     assert {period for _, period, _ in band} == {0, 1}
 
 
@@ -695,11 +726,95 @@ def test_u1_one_check_matches_construction():
     assert {(label, v) for label in free for v in (True, False)} <= seen
 
 
+# --- cold solves on the 4-D products ----------------------------------------
+
+PRODUCTS = {
+    "RP2xRP2": (models.rp2_nerve, models.rp2_nerve),
+    "S2xS2": (lambda: models.boundary_simplex(2), lambda: models.boundary_simplex(2)),
+    "S3xS1": (lambda: models.boundary_simplex(3), models.circle_nerve),
+}
+# degrees 1..3 with H^k(Z) != 0 and with H^k(R) != 0 (Kunneth)
+NONZERO = {"RP2xRP2": ({2, 3}, set()), "S2xS2": ({2}, {2}), "S3xS1": ({1, 3}, {1, 3})}
+
+
+def check_integer_answer(d, z, result):
+    """A primitive b with d b = z exactly, or an integral functional that
+    kills d (mod its modulus) and pairs non-zero with z."""
+    if result.trivial:
+        assert (d @ np.array(result.primitive.values, dtype=np.int64) == z).all()
+        return
+    cert = result.certificate
+    assert all(type(f) is int for f in cert.functional)
+    kills = np.array(cert.functional, dtype=object) @ d
+    pairing = sum(f * v for f, v in zip(cert.functional, z))
+    m = cert.modulus
+    assert all(v % m == 0 for v in kills) if m else not kills.any()
+    assert (pairing - cert.pairing) % m == 0 if m else pairing == cert.pairing
+    assert (pairing % m if m else pairing) != 0
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_cold_solves_on_four_dimensional_products(name):
+    """Z, R and R/Z solves and the Dixmier-Douady map on fresh systems over
+    RP2 x RP2, S2 x S2 and S3 x S1, in degrees 1 to 3, each answer checked
+    against the oracle's coboundary matrices."""
+    nerve = models.ordered_product(*(f() for f in PRODUCTS[name]))
+    integral, real = NONZERO[name]
+    rng = np.random.default_rng(73)
+    seen = set()
+    for k in (1, 2, 3):
+        d = coboundary_matrix(nerve, k - 1, negate=False)
+        form = TwistedLocalSystem(nerve, Z).delta_snf(k)
+        c = form.apply_t([0] * form.rank + rng.integers(-1, 2, form.ncols - form.rank).tolist())
+        assert not (coboundary_matrix(nerve, k, negate=False) @ c).any()
+        for ring, coeff, t in (("Z", Z, 1), ("R", CoefficientGroup.reals(), 0.37),
+                               ("R/Z", CoefficientGroup.circle(), 0.5)):
+            sys_ = TwistedLocalSystem(nerve, coeff)
+            exact = coboundary(random_cochain(sys_, k - 1, rng), sys_)
+            for shift in (0, t):
+                z = cochain(sys_, k, [a + shift * g for a, g in zip(exact.values, c)])
+                if ring == "R/Z":
+                    result = u1_is_coboundary(z, sys_)
+                    stage = None if result.trivial else result.certificate.stage
+                    check_u1_answer(sys_, z, result, result.trivial, stage)
+                elif ring == "Z":
+                    result = is_coboundary(z, sys_)
+                    check_integer_answer(d, z.values, result)
+                else:
+                    result = is_coboundary(z, sys_)
+                    if result.trivial:
+                        residual = d @ np.array(result.primitive.values) - z.values
+                        assert np.abs(residual).max() <= 1e-9 * max(1, np.abs(z.values).max())
+                    else:
+                        cert = result.certificate
+                        assert not (np.array(cert.functional, dtype=object) @ d).any()
+                        assert abs(cert.pairing) > 1e-9
+                assert result.trivial or shift, (ring, k)
+                seen.add((ring, k, result.trivial))
+        assert ("Z", k, False) in seen or k not in integral
+        assert ("R", k, False) in seen or k not in real
+    assert {(ring, k) for ring, k, v in seen if not v and ring != "R/Z"} == \
+        {("Z", k) for k in integral} | {("R", k) for k in real}
+    # the Dixmier-Douady map, on the order-2 classes of d_2 (T e_i / 2)
+    form = TwistedLocalSystem(nerve, Z).delta_snf(2)
+    x = form.apply_t([int(f == 2) for f in form.diag] + [0] * (form.ncols - form.rank))
+    sys_ = circle_system(nerve)
+    d2 = coboundary_matrix(nerve, 2, negate=False)
+    for half in (x, 2 * np.array(x)):
+        a = cochain(sys_, 2, [u + v / 2 for u, v in zip(
+            coboundary(random_cochain(sys_, 1, rng), sys_).values, half)])
+        result = bockstein_dd(a, sys_)
+        n = np.round(d2 @ np.array(a.values)).astype(np.int64)
+        assert (np.array(result.cocycle.values) == n).all()
+        check_integer_answer(d2, result.cocycle.values, result)
+        assert result.trivial == (name != "RP2xRP2" or half is not x)
+
+
 def count_smith_forms(monkeypatch):
-    """Record every Smith form, with or without transforms, from here on."""
+    """Record every Smith form, dense or sparse, from here on."""
     from gerbelab import snf
     calls = []
-    for name in ("smith_normal_form", "invariant_factors"):
+    for name in ("smith_normal_form", "SparseSmithForm"):
         real = getattr(snf, name)
         monkeypatch.setattr(snf, name, lambda *a, _real=real, _name=name, **kw:
                             calls.append(_name) or _real(*a, **kw))

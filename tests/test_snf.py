@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbelab.snf import (invariant_factors, kernel_basis, matvec,
+from gerbelab.cech import TwistedLocalSystem
+from gerbelab.coeffs import CoefficientGroup
+from gerbelab.models import rp2_nerve
+from gerbelab.snf import (SparseSmithForm, kernel_basis, matvec,
                           smith_normal_form, smith_normal_form_mod, solve)
 from oracles import integer_invariants
 
@@ -75,22 +78,75 @@ def test_fixed_cases_match_sympy(matrix):
     assert [d for d in snf.diag if d > 1] == torsion
 
 
+def check_sparse_form(matrix, ncols, rng):
+    """SparseSmithForm against the Smith form contract, with S built a row
+    and T a column at a time: S A T = D with S, T unimodular, S^-1 the
+    inverse of S, apply_s agreeing with the rows of S, and solve returning
+    an exact x or a valid functional."""
+    form = SparseSmithForm(matrix, ncols=ncols)
+    nrows = len(matrix)
+    assert (form.nrows, form.ncols) == (nrows, ncols)
+    s = [form.row_of_s(i) for i in range(nrows)]
+    t = [list(c) for c in zip(*[form.apply_t([int(i == j) for i in range(ncols)])
+                                for j in range(ncols)])]
+    if nrows and ncols:
+        d = matmul(matmul(s, [list(r) for r in matrix]), t)
+        assert d == [[form.diag[i] if i == j and i < form.rank else 0
+                      for j in range(ncols)] for i in range(nrows)]
+    if nrows:
+        assert abs(exact_det(s)) == 1
+    if ncols:
+        assert abs(exact_det(t)) == 1
+    for i in range(nrows):
+        unit = [int(i == j) for j in range(nrows)]
+        assert matvec(s, form.apply_s_inv(unit)) == unit
+    for _ in range(3):
+        b = rng.integers(-9, 10, nrows).tolist()
+        assert form.apply_s(b) == matvec(s, b)
+        x, cert = solve(form, b)
+        if cert is None:
+            assert matvec(matrix, x) == b
+            continue
+        assert x is None
+        fun, mod, val = cert
+        kills = [sum(f * row[j] for f, row in zip(fun, matrix)) for j in range(ncols)]
+        pairing = sum(f * v for f, v in zip(fun, b))
+        if mod:
+            assert all(v % mod == 0 for v in kills) and pairing % mod == val % mod != 0
+        else:
+            assert not any(kills) and pairing == val != 0
+        x, cert = solve(form, matvec(matrix, rng.integers(-4, 5, ncols).tolist()))
+        assert cert is None
+    return form
+
+
 @given(st.lists(st.one_of(st.just([0, 0, 0, 0]),
-                          st.lists(st.integers(-9, 9), min_size=4, max_size=4)),
+                          st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+                          st.lists(st.integers(-1, 1), min_size=4, max_size=4)),
                 min_size=0, max_size=5),
-       st.integers(1, 3))
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_random_matrices_match_sympy(matrix, scale):
-    # scale > 1 leaves no unit entry, so invariant_factors runs its dense block
+def test_random_matrices_match_sympy(matrix, scale, seed):
+    # scale > 1 leaves no unit entry, so SparseSmithForm runs its dense block
     matrix = [[scale * x for x in row] for row in matrix]
     snf = check_form(matrix, ncols=4)
     rank, torsion = integer_invariants(np.array(matrix))
     assert snf.rank == rank
     assert [d for d in snf.diag if d > 1] == torsion
-    factors = invariant_factors(matrix)
+    factors = check_sparse_form(matrix, 4, np.random.default_rng(seed)).diag
     assert len(factors) == rank
     assert [d for d in factors if d > 1] == torsion
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+RP2_D1 = TwistedLocalSystem(rp2_nerve(), CoefficientGroup.integers()).delta_matrix(1)
+
+
+@pytest.mark.parametrize("matrix, ncols", [([], 3), ([[], []], 0), ([[0, 0]] * 3, 2),
+                                           (RP2_D1, 15)] + [(m, len(m[0])) for m in CASES])
+def test_sparse_form_edge_shapes(matrix, ncols):
+    form = check_sparse_form(matrix, ncols, np.random.default_rng(5))
+    assert form.diag == smith_normal_form(matrix, ncols=ncols).diag
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
