@@ -13,7 +13,10 @@ cocycle equation written multiplicatively is a_ijk a_ikl =
 sigma^{eps_ij}(a_jkl) a_ijl, the quadruple-overlap identity of lifting
 obstructions.
 
-Each degree has one cached sparse integer Smith form S d_k T = D
+The sign rule is written once, in TwistedLocalSystem.delta_matrix: the
+cached sparse rows of d_k, one {k-simplex index: +-1} dict per
+(k+1)-simplex in face order.  coboundary evaluates those rows, and each
+degree has one cached sparse integer Smith form S d_k T = D of them
 (snf.SparseSmithForm): one unit-pivot elimination whose row operations are
 recorded, so S, S^-1 and T are applied to vectors and never built.
 Cohomology over the integers, mod n and the reals is read off its
@@ -92,31 +95,28 @@ class TwistedLocalSystem:
         return all(x == 1 for x in self.eps)
 
     def delta_matrix(self, k):
-        """Integer matrix of the twisted coboundary d_k (rows = (k+1)-simplices).
+        """The twisted coboundary d_k as sparse integer rows, one per
+        (k+1)-simplex: {k-simplex index: coefficient}, faces in face order.
 
         The leading-face entry is eps_{i0 i1} when the involution is
         negation and +1 otherwise; face r contributes (-1)^r.  d_{-1} is
-        the zero map into the 0-cochains, so degree 0 solves like the rest.
+        the zero map into the 0-cochains (empty rows), so degree 0 solves
+        like the rest.
         """
         key = ("delta", k)
         if key not in self._cache:
             if not -1 <= k <= MAX_DIM:
                 raise DegreeOverflow(f"no coboundary out of degree {k}")
             if k == -1:
-                rows = [[] for _ in self.nerve.simplices[0]]
+                rows = [{} for _ in self.nerve.simplices[0]]
             else:
-                sources = self.nerve.simplices[k]
-                targets = self.nerve.simplices[k + 1] if k < MAX_DIM else ()
+                index = self.nerve.index_of
                 twist_signs = self.coeff.involution == NEGATION
                 rows = []
-                for s in targets:
-                    row = [0] * len(sources)
-                    fs = faces(s)
+                for s in self.nerve.simplices[k + 1] if k < MAX_DIM else ():
                     lead = self.eps_of(s[0], s[1]) if twist_signs else 1
-                    row[self.nerve.index_of(fs[0])] += lead
-                    for r in range(1, len(fs)):
-                        row[self.nerve.index_of(fs[r])] += -1 if r % 2 else 1
-                    rows.append(row)
+                    rows.append({index(f): (-1) ** r if r else lead
+                                 for r, f in enumerate(faces(s))})
             self._cache[key] = rows
         return self._cache[key]
 
@@ -131,7 +131,9 @@ class TwistedLocalSystem:
         return self._cache[key]
 
     def delta_snf_mod(self, k):
-        """Smith form of [d_k | n I], for solving d_k x = b mod n."""
+        """Dense Smith form of [d_k | n I] (snf.smith_normal_form_mod), for
+        solving d_k x = b mod n; its kernel basis cut to the first count(k)
+        entries spans the kernel of d_k mod n."""
         n = self.coeff.modulus
         key = ("snf_mod", k, n)
         if key not in self._cache:
@@ -194,22 +196,20 @@ def random_cochain(sys, degree, rng):
 
 
 def coboundary(c, sys):
-    """The twisted coboundary; raises DegreeOverflow past degree 3.  The
-    coboundary of the (-1)-cochain is zero, as d_{-1} is."""
+    """The twisted coboundary, read off the rows of delta_matrix: each value
+    is the normalized leading term, then each further face added or
+    subtracted and normalized in turn.  Raises DegreeOverflow past degree
+    3; the coboundary of the (-1)-cochain is zero, as d_{-1} is."""
     k = c.degree
     if k > MAX_DIM - 1:
         raise DegreeOverflow(f"coboundary of degree {k} exceeds the dimension cap")
-    if k == -1:
-        return zero_cochain(sys, 0)
-    coeff = sys.coeff
+    norm, values = sys.coeff.normalize, c.values
     out = []
-    for s in sys.nerve.simplices[k + 1]:
-        fs = faces(s)
-        v = coeff.act(sys.eps_of(s[0], s[1]), c.values[sys.nerve.index_of(fs[0])])
-        for r in range(1, len(fs)):
-            w = c.values[sys.nerve.index_of(fs[r])]
-            v = coeff.sub(v, w) if r % 2 else coeff.add(v, w)
-        out.append(v)
+    for row in sys.delta_matrix(k):
+        v = None
+        for j, a in row.items():
+            v = norm(a * values[j] if v is None else v + a * values[j])
+        out.append(sys.coeff.zero() if v is None else v)
     return Cochain(k + 1, tuple(out))
 
 

@@ -299,8 +299,7 @@ def _random_system(nerve_, coeff, rng):
     from .coeffs import CoefficientGroup
     from . import snf as _snf
     mod2 = cech.TwistedLocalSystem(nerve_, CoefficientGroup.integers_mod(2))
-    basis = _snf.kernel_basis(_snf.smith_normal_form_mod(
-        mod2.delta_matrix(1), 2, nerve_.count(1)))
+    basis = _snf.kernel_basis(mod2.delta_snf_mod(1))
     signs = [0] * nerve_.count(1)
     for vec in basis:
         if rng.integers(2):

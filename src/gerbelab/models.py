@@ -108,11 +108,9 @@ def rp2_generator_cocycle(system=None):
     coboundary that is not itself a coboundary.
     """
     system = system or TwistedLocalSystem(rp2_nerve(), CoefficientGroup.integers_mod(2))
-    nerve = system.nerve
     # mod-2 kernel of d_1: integer kernel of [d_1 | 2I] projected
-    ncols = nerve.count(1)
-    for vec in _snf.kernel_basis(_snf.smith_normal_form_mod(
-            system.delta_matrix(1), 2, ncols)):
+    ncols = system.nerve.count(1)
+    for vec in _snf.kernel_basis(system.delta_snf_mod(1)):
         candidate = cech.cochain(system, 1, vec[:ncols])
         if any(candidate.values):
             result = cech.is_coboundary(candidate, system)
@@ -129,10 +127,9 @@ def half_integer_two_cocycle(system):
     d_i = 2, x = T e_i / 2 has d x = S^-1 e_i, an integer 3-cocycle of
     order exactly 2.  So x mod 1, with values in {0, 1/2}, is a circle
     cocycle with that Bockstein.  T e_i is one back-substitution through
-    the recorded elimination.  Requires a nerve with no 4-simplices.
+    the recorded elimination.  d_3 is never read, so the nerve may have
+    4-simplices.
     """
-    if system.nerve.count(4):
-        raise ValueError("construction assumes a nerve of dimension <= 3")
     s = system.delta_snf(2)
     order2 = [i for i, d in enumerate(s.diag) if d == 2]
     if not order2:

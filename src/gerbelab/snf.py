@@ -2,8 +2,8 @@
 
 Smith normal form with unimodular transforms, kernel bases, and an
 integer solve that returns either a solution or an image-membership
-certificate from one scan of S b.  Matrices are lists of lists of Python
-ints.
+certificate from one scan of S b.  Dense matrices are lists of lists of
+Python ints; sparse ones are lists of {column: value} rows.
 
 Two forms share one interface (``apply_s``, ``row_of_s``, ``apply_t``),
 so ``solve`` reads either.  ``SparseSmithForm`` is the one elimination
@@ -11,7 +11,8 @@ behind the coboundaries: +-1 pivots first on sparse rows, its row
 operations recorded instead of multiplied out, and the dense
 ``smith_normal_form`` only for the small block left without a unit (Dumas,
 Saunders and Villard, J. Symbolic Comput. 32, 2001).  The dense form with
-explicit S, S^-1 and T also serves [A | nI] for solving mod n.
+explicit S, S^-1 and T also serves [A | nI] for solving mod n; that is the
+one place where sparse rows are written out densely.
 """
 
 from heapq import heappop, heappush
@@ -161,22 +162,23 @@ def smith_normal_form(matrix, ncols=None):
     return SmithForm(nrows, ncols, diag, s, s_inv, t)
 
 
-def smith_normal_form_mod(matrix, n, ncols):
-    """Smith form of [A | n I] for an integer matrix A with ``ncols``
-    columns.  Solving against it solves A x = b mod n (keep the first
-    ``ncols`` entries of x), and its kernel basis cut to those entries
-    spans the kernel of A mod n.
+def smith_normal_form_mod(rows, n, ncols):
+    """Dense Smith form of [A | n I] for A given as sparse {column: value}
+    rows with ``ncols`` columns.  Solving against it solves A x = b mod n
+    (keep the first ``ncols`` entries of x), and its kernel basis cut to
+    those entries spans the kernel of A mod n.
     """
-    nrows = len(matrix)
-    rows = [list(row) + [n if j == i else 0 for j in range(nrows)]
-            for i, row in enumerate(matrix)]
-    return smith_normal_form(rows, ncols=ncols + nrows)
+    nrows = len(rows)
+    dense = [[row.get(j, 0) for j in range(ncols)] + [n if j == i else 0 for j in range(nrows)]
+             for i, row in enumerate(rows)]
+    return smith_normal_form(dense, ncols=ncols + nrows)
 
 
 class SparseSmithForm:
     """Smith form S A T = D of an integer matrix from one sparse elimination.
 
-    Rows are sparse {col: val} dicts.  A +-1 entry is a unit pivot: its
+    A is given as sparse {col: val} rows and its column count ``ncols``;
+    the rows are copied, not modified.  A +-1 entry is a unit pivot: its
     column is cleared from every other row by row operations (target row,
     pivot row, multiplier), which are recorded, and the pivot row is kept
     as it stands; clearing that row by column operations then leaves the
@@ -197,12 +199,11 @@ class SparseSmithForm:
     __slots__ = ("nrows", "ncols", "diag", "rank", "_ops", "_pivots",
                  "_block", "_block_rows", "_block_cols", "_zero_rows", "_free_cols")
 
-    def __init__(self, matrix, ncols=None):
+    def __init__(self, matrix, ncols):
         nrows = len(matrix)
-        ncols = len(matrix[0]) if nrows else (ncols or 0)
         rows, cols = {}, {}
         for i, row in enumerate(matrix):
-            sparse = {j: int(v) for j, v in enumerate(row) if v}
+            sparse = {j: v for j, v in row.items() if v}
             if sparse:
                 rows[i] = sparse
                 for j in sparse:

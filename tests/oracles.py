@@ -4,8 +4,10 @@ Everything here is deliberately written along a different path from the
 package code: coboundary matrices are assembled by direct subset
 enumeration, Smith invariants come from sympy, mod-p dimensions from a
 plain Gaussian elimination, product cohomology from the Kuenneth formula,
-Toeplitz blocks from a double loop over mode pairs, the untwisted
-lifting obstruction from a from-scratch formula, cup products from
+Toeplitz blocks from a double loop over mode pairs, the twisted
+coboundary of a cochain face by face from the simplices (the bit-for-bit
+reference for cech.coboundary, which reads the rows of delta_matrix), the
+untwisted lifting obstruction from a from-scratch formula, cup products from
 the Alexander-Whitney front-face/back-face rule, and the connection
 pipeline (pullback connection, curvature, gauge residual, Chern number)
 on full grids, with matrix products and the curvature bracket at every
@@ -18,6 +20,10 @@ from math import gcd
 import numpy as np
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from gerbelab.cech import Cochain, zero_cochain
+from gerbelab.errors import DegreeOverflow
+from gerbelab.nerve import MAX_DIM, faces
 
 
 def simplex_lists(nerve):
@@ -53,6 +59,27 @@ def coboundary_matrix(nerve, k, eps=None, negate=True):
                 sign = eps.get(e, eps.get((e[1], e[0]), 1))
             rows[r, index[face]] += sign
     return rows
+
+
+def face_by_face_coboundary(c, sys):
+    """The twisted coboundary of a cochain, summed face by face: the
+    leading face acted on by its edge sign, then each further face added or
+    subtracted in order, normalized after every step."""
+    k = c.degree
+    if k > MAX_DIM - 1:
+        raise DegreeOverflow(f"coboundary of degree {k} exceeds the dimension cap")
+    if k == -1:
+        return zero_cochain(sys, 0)
+    coeff = sys.coeff
+    out = []
+    for s in sys.nerve.simplices[k + 1]:
+        fs = faces(s)
+        v = coeff.act(sys.eps_of(s[0], s[1]), c.values[sys.nerve.index_of(fs[0])])
+        for r in range(1, len(fs)):
+            w = c.values[sys.nerve.index_of(fs[r])]
+            v = coeff.sub(v, w) if r % 2 else coeff.add(v, w)
+        out.append(v)
+    return Cochain(k + 1, tuple(out))
 
 
 def integer_invariants(matrix):

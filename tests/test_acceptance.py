@@ -27,7 +27,7 @@ from gerbelab.schwinger import (CentralElement, LoopPolynomial,
                                 jacobi_defect, loop_scale, schwinger_residue,
                                 schwinger_trace)
 from gerbelab.connection import chern_number, gauge_residual, two_chart_sphere
-from oracles import integer_cohomology
+from oracles import coboundary_matrix, integer_cohomology
 from test_cech import random_twist
 
 SAMPLES = Path(__file__).parent.parent / "sample_inputs"
@@ -150,7 +150,7 @@ def test_05_obstruction_round_trip():
     result = obstruction(td_rp2, ext)
     fixed = trivialize(result)
     assert not fixed.trivial and fixed.certificate is not None
-    delta1 = np.array(result.system.delta_matrix(1), dtype=np.int64) % 2
+    delta1 = coboundary_matrix(result.system.nerve, 1) % 2
     target = np.array(result.cochain.values, dtype=np.int64)
     bits = ((np.arange(2 ** 15)[:, None] >> np.arange(15)) & 1)
     assert not (bits @ delta1.T % 2 == target).all(axis=1).any()

@@ -128,7 +128,7 @@ def test_rp2_nontriviality_agrees_with_exhaustive_search():
     td = rp2_transition()
     result = obstruction(td, cyclic_central_extension(2, 2))
     sys_ = result.system
-    delta1 = np.array(sys_.delta_matrix(1), dtype=np.int64) % 2
+    delta1 = coboundary_matrix(sys_.nerve, 1) % 2
     target = np.array(result.cochain.values, dtype=np.int64)
     n_edges = td.nerve.count(1)
     assert n_edges == 15

@@ -78,12 +78,20 @@ def test_fixed_cases_match_sympy(matrix):
     assert [d for d in snf.diag if d > 1] == torsion
 
 
+def sparse(matrix):
+    """The {column: value} rows of a dense matrix."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
 def check_sparse_form(matrix, ncols, rng):
-    """SparseSmithForm against the Smith form contract, with S built a row
-    and T a column at a time: S A T = D with S, T unimodular, S^-1 the
-    inverse of S, apply_s agreeing with the rows of S, and solve returning
-    an exact x or a valid functional."""
-    form = SparseSmithForm(matrix, ncols=ncols)
+    """SparseSmithForm of a dense matrix's sparse rows against the Smith form
+    contract, with S built a row and T a column at a time: S A T = D with
+    S, T unimodular, S^-1 the inverse of S, apply_s agreeing with the rows
+    of S, and solve returning an exact x or a valid functional.  The rows
+    given are left as they were."""
+    rows = sparse(matrix)
+    form = SparseSmithForm(rows, ncols)
+    assert rows == sparse(matrix)
     nrows = len(matrix)
     assert (form.nrows, form.ncols) == (nrows, ncols)
     s = [form.row_of_s(i) for i in range(nrows)]
@@ -139,7 +147,8 @@ def test_random_matrices_match_sympy(matrix, scale, seed):
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
-RP2_D1 = TwistedLocalSystem(rp2_nerve(), CoefficientGroup.integers()).delta_matrix(1)
+RP2_D1 = [[row.get(j, 0) for j in range(15)] for row in
+          TwistedLocalSystem(rp2_nerve(), CoefficientGroup.integers()).delta_matrix(1)]
 
 
 @pytest.mark.parametrize("matrix, ncols", [([], 3), ([[], []], 0), ([[0, 0]] * 3, 2),
@@ -194,7 +203,7 @@ def test_empty_matrix_kernel_is_everything():
 def test_smith_form_mod_n_solves_and_spans_kernel(nrows, ncols, n, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.integers(-3, 4, (nrows, ncols)).tolist()
-    snf = smith_normal_form_mod(matrix, n, ncols)
+    snf = smith_normal_form_mod(sparse(matrix), n, ncols)
     assert snf.ncols == ncols + nrows
     for vec in kernel_basis(snf):
         assert all(v % n == 0 for v in matvec(matrix, vec[:ncols]))
