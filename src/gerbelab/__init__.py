@@ -1,36 +1,38 @@
 """gerbelab: twisted Cech cohomology, lifting gerbe obstructions, Schwinger
 cocycles, and discrete Chern-Weil integrals at desk scale.
 
-``import gerbelab`` loads no numpy.  The exact layers (nerve, coeffs, cech,
-lifting) are imported here and use numpy only inside one floating-point
-helper, the gerbe-module check.  The
-floating-point layers, ``connection`` and ``schwinger``, load with numpy the
-first time one of their names is used, e.g. by
-``from gerbelab import schwinger_trace``.
+``import gerbelab`` loads no layer.  Every layer module, and each name this
+package exports, resolves the first time it is used (PEP 562): ``from
+gerbelab import cohomology`` loads ``cech`` with ``snf``, ``coeffs``,
+``nerve`` and ``errors``, and ``from gerbelab import schwinger_trace`` loads
+``schwinger`` with numpy.  The exact layers (nerve, coeffs, snf, cech,
+lifting) use numpy only inside one floating-point helper, the gerbe-module
+check.
 """
 
 import importlib
 
-from .cech import (BocksteinResult, Certificate, CoboundaryResult, Cochain,
-                   CohomologyGroup, TwistedLocalSystem, bockstein_dd, cochain,
-                   cochain_add, cochain_from_dict, cochain_neg, cochain_sub,
-                   coboundary, cohomology, is_coboundary, is_cocycle,
-                   u1_is_coboundary, zero_cochain)
-from .coeffs import (Automorphism, CentralExtension, CoefficientGroup,
-                     FiniteGroup, SemidirectElement, cyclic_central_extension,
-                     semidirect_group, semidirect_inv, semidirect_mul,
-                     verify_extension)
-from .lifting import (CocycleReport, LiftChoice, ObstructionResult,
-                      TransitionData, TrivializeResult, change_lifts,
-                      check_gerbe_module, check_twisted_cocycle,
-                      lifts_via_section, obstruction, trivialize)
-from .nerve import Nerve, build_nerve, faces, random_nerve, simplices
-
 __version__ = "0.1.0"
 
-# Name -> the floating-point module that defines it, resolved on first access
-# by __getattr__ (PEP 562); each module's own name maps to itself.
+# Name -> the module that defines it, resolved on first access by
+# __getattr__; each module's own name maps to itself.
 _LAZY = {name: module for module, names in (
+    ("errors", "errors"),
+    ("snf", "snf"),
+    ("nerve", "nerve Nerve build_nerve faces random_nerve simplices"),
+    ("coeffs", "coeffs Automorphism CentralExtension CoefficientGroup "
+               "FiniteGroup SemidirectElement cyclic_central_extension "
+               "semidirect_group semidirect_inv semidirect_mul "
+               "verify_extension"),
+    ("cech", "cech BocksteinResult Certificate CoboundaryResult Cochain "
+             "CohomologyGroup TwistedLocalSystem bockstein_dd cochain "
+             "cochain_add cochain_from_dict cochain_neg cochain_sub "
+             "coboundary cohomology is_coboundary is_cocycle "
+             "u1_is_coboundary zero_cochain"),
+    ("lifting", "lifting CocycleReport LiftChoice ObstructionResult "
+                "TransitionData TrivializeResult change_lifts "
+                "check_gerbe_module check_twisted_cocycle lifts_via_section "
+                "obstruction trivialize"),
     ("connection", "connection BundleData Chart ChartedBase OverlapMap "
                    "SampledForm chern_number classifying_point curvature "
                    "gauge_residual local_connection two_arc_circle "

@@ -5,20 +5,20 @@ rerun on the same inputs is byte-identical; ``--machine-readable`` emits
 the same data as sorted JSON.  Exit codes: 0 success, 2 parse/validation
 failure, 3 mathematical invariant violation.
 
-``cohomology`` and ``obstruction`` compute in exact integer arithmetic and
-never import numpy.  numpy, ``schwinger`` and ``connection`` are imported
-inside the floating-point commands (``schwinger``, ``chern``, ``verify``)
-that use them, so importing this module stays numpy-free.
+Each command imports the layers it runs, so importing this module loads
+only ``coeffs`` and ``errors``.  ``cohomology`` and ``obstruction`` load
+the exact layers and PyYAML but never numpy; ``schwinger`` and ``chern``
+load numpy with their own layer, and PyYAML only to read input files, but
+no exact layer.
 """
 
 import argparse
 import json
 import sys
 
-from . import cech, io, lifting, models, nerve as nerve_mod
-from .coeffs import (Automorphism, FiniteGroup, SemidirectElement,
-                     cyclic_central_extension, semidirect_group, semidirect_mul,
-                     verify_extension)
+from .coeffs import (Automorphism, CoefficientGroup, FiniteGroup,
+                     SemidirectElement, cyclic_central_extension,
+                     semidirect_group, semidirect_mul, verify_extension)
 from .errors import GerbeError, ProblemFileError
 
 
@@ -57,10 +57,12 @@ class Report:
 
 
 def _input_line(report, label, path):
+    from . import io
     report.add(f"input-{label}", f"{path} sha256={io.sha256_of(path)}")
 
 
 def cmd_cohomology(args):
+    from . import cech, io
     report = Report("cohomology")
     _input_line(report, "system", args.system)
     system = io.parse_system(args.system)
@@ -75,6 +77,7 @@ def cmd_cohomology(args):
 
 def _class_order(result):
     """Order of the obstruction class in twisted H^2 over the cyclic kernel."""
+    from . import cech
     sys_ = result.system
     for m in range(1, result.ext.kernel_order + 1):
         scaled = cech.cochain(sys_, 2, [m * v for v in result.cochain.values])
@@ -84,6 +87,7 @@ def _class_order(result):
 
 
 def cmd_obstruction(args):
+    from . import io, lifting
     report = Report("obstruction")
     _input_line(report, "transition", args.transition)
     _input_line(report, "extension", args.extension)
@@ -99,7 +103,7 @@ def cmd_obstruction(args):
     lifts = None
     if args.lifts:
         _input_line(report, "lifts", args.lifts)
-        lifts = io.parse_lifts(args.lifts, td.nerve)
+        lifts = io.parse_lifts(args.lifts, td.nerve, ext.hat)
     result = lifting.obstruction(td, ext, lifts)
     triangles = td.nerve.simplices[2]
     report.add("kernel", ext.kernel_coefficients().describe())
@@ -146,6 +150,7 @@ def _load_loops(args, count):
     if len(args.loops) > count:
         raise ProblemFileError(
             f"mode {args.mode} takes {count} loop files, got {len(args.loops)}")
+    from . import io
     return [io.parse_loop(p) for p in args.loops], "files"
 
 
@@ -223,7 +228,7 @@ def cmd_schwinger(args):
 
 
 def cmd_chern(args):
-    from . import connection
+    from . import connection, io
     if not args.tolerance >= 0:  # also rejects NaN
         raise ProblemFileError(f"--tolerance {args.tolerance} must be >= 0")
     report = Report("chern")
@@ -265,6 +270,7 @@ def _check(condition, message=""):
 
 
 def _suite_nerve(rng):
+    from . import models, nerve as nerve_mod
     for _ in range(20):
         n = nerve_mod.random_nerve(rng)
         for k in range(1, 5):
@@ -278,7 +284,7 @@ def _suite_nerve(rng):
 
 
 def _suite_cech(rng):
-    from .coeffs import CoefficientGroup
+    from . import cech, models, nerve as nerve_mod
     for _ in range(30):
         n = nerve_mod.random_nerve(rng)
         coeff = CoefficientGroup.integers(
@@ -296,8 +302,7 @@ def _suite_cech(rng):
 
 def _random_system(nerve_, coeff, rng):
     """Random valid twist: a mod-2 kernel element of the edge coboundary."""
-    from .coeffs import CoefficientGroup
-    from . import snf as _snf
+    from . import cech, snf as _snf
     mod2 = cech.TwistedLocalSystem(nerve_, CoefficientGroup.integers_mod(2))
     basis = _snf.kernel_basis(mod2.delta_snf_mod(1))
     signs = [0] * nerve_.count(1)
@@ -327,10 +332,10 @@ def _suite_coeffs(rng):
 
 
 def _suite_lifting(rng):
+    from . import cech, lifting, models
     ext = cyclic_central_extension(2, 2)
     sphere = models.boundary_simplex(2)
     z2 = FiniteGroup.cyclic(2)
-    from .coeffs import CoefficientGroup
     sysb = cech.TwistedLocalSystem(sphere, CoefficientGroup.integers_mod(2))
     pot = cech.cochain(sysb, 0, [int(rng.integers(2)) for _ in range(4)])
     g = cech.coboundary(pot, sysb)

@@ -5,6 +5,10 @@ loop | lifts | bundle) and ``format: v1``.  Nested references (a system
 naming its nerve by path) resolve relative to the referring file.  The
 exact grammars are documented in docs/formats.md with one committed
 example per kind under sample_inputs/.
+
+Integer fields are strict: a bool, float or string is bad input, never
+coerced.  Loading this module loads PyYAML and ``errors`` only; each
+parser imports the layer it builds.
 """
 
 import hashlib
@@ -12,15 +16,11 @@ import os
 
 import yaml
 
-from .cech import TwistedLocalSystem
-from .coeffs import (Automorphism, CentralExtension, CoefficientGroup,
-                     FiniteGroup)
 from .errors import ProblemFileError
-from .lifting import LiftChoice, TransitionData
-from .nerve import build_nerve
 
 FORMAT_VERSION = "v1"
 KINDS = ("nerve", "system", "transition", "extension", "loop", "lifts", "bundle")
+SIGNS = (1, -1)
 
 
 def sha256_of(path):
@@ -59,11 +59,18 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def _positive_integer(value, what, path):
+    """``value`` if it is an int, not a bool, and at least 1."""
+    if type(value) is not int or value < 1:
+        raise ProblemFileError(
+            f"{path}: {what} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def parse_nerve(doc, path="<inline>"):
-    vertices = _need(doc, "vertices", path)
+    from .nerve import build_nerve
+    vertices = _positive_integer(_need(doc, "vertices", path), "vertices", path)
     maximal = _need(doc, "maximal", path)
-    if not isinstance(vertices, int) or vertices < 1:
-        raise ProblemFileError(f"{path}: vertices must be a positive integer")
     if not isinstance(maximal, list):
         raise ProblemFileError(f"{path}: maximal must be a list of simplices")
     try:
@@ -86,15 +93,18 @@ def _resolve_nerve(doc, path):
 
 
 def parse_coefficients(doc, path="<inline>"):
+    from .coeffs import CoefficientGroup
     kind = doc.get("set", "integers")
     involution = doc.get("involution", "identity")
     tolerance = doc.get("tolerance", 1e-9)
+    if kind == "mod":
+        modulus = _positive_integer(_need(doc, "modulus", path),
+                                    "coefficients.modulus", path)
     try:
         if kind == "integers":
             return CoefficientGroup.integers(involution=involution)
         if kind == "mod":
-            return CoefficientGroup.integers_mod(int(_need(doc, "modulus", path)),
-                                                 involution=involution)
+            return CoefficientGroup.integers_mod(modulus, involution=involution)
         if kind == "reals":
             return CoefficientGroup.reals(involution=involution, tolerance=tolerance)
         if kind == "circle":
@@ -104,41 +114,70 @@ def parse_coefficients(doc, path="<inline>"):
     raise ProblemFileError(f"{path}: unknown coefficient set {kind!r}")
 
 
-def _parse_edge_list(entries, what, path):
+def _parse_edge_list(entries, what, path, nerve, values):
+    """{ascending edge: value} from a list of [i, j, value] entries.
+
+    i and j are different integers naming an edge of ``nerve`` in either
+    order, and no edge appears twice.  The value is an integer in
+    ``values``: SIGNS, or the range of a group's element indices.
+    """
+    if entries is None:
+        return {}
+    if not isinstance(entries, list):
+        raise ProblemFileError(f"{path}: {what} must be a list of [i, j, value]")
+    rule = "+1 or -1" if values == SIGNS else f"an integer in 0..{len(values) - 1}"
+    edges = set(nerve.simplices[1])
     out = {}
-    for item in entries or []:
+    for item in entries:
         if not (isinstance(item, list) and len(item) == 3):
-            raise ProblemFileError(f"{path}: {what} entries are [i, j, value]")
+            raise ProblemFileError(
+                f"{path}: {what} entries are [i, j, value], got {item!r}")
         i, j, v = item
-        out[(min(i, j), max(i, j))] = v
+        edge = (min(i, j), max(i, j)) if type(i) is type(j) is int else None
+        bad = None
+        if edge is None or i == j:
+            bad = "i and j must be two different integers"
+        elif edge not in edges:
+            bad = "not an edge of the nerve"
+        elif edge in out:
+            bad = "edge listed twice"
+        elif type(v) is not int or v not in values:
+            bad = f"value must be {rule}"
+        if bad:
+            raise ProblemFileError(f"{path}: {what} entry {item!r}: {bad}")
+        out[edge] = v
     return out
 
 
 def parse_system(path):
+    from .cech import TwistedLocalSystem
     doc = load_document(path)
     if doc["kind"] != "system":
         raise ProblemFileError(f"{path}: expected a system file")
     nerve = _resolve_nerve(doc, path)
     coeff = parse_coefficients(doc.get("coefficients", {}), path)
-    twist = _parse_edge_list(doc.get("twist"), "twist", path)
+    twist = _parse_edge_list(doc.get("twist"), "twist", path, nerve, SIGNS)
     try:
         return TwistedLocalSystem(nerve, coeff, twist)
     except Exception as exc:
         raise ProblemFileError(f"{path}: bad system: {exc}") from exc
 
 
-def parse_group(doc, path):
+def parse_group(doc, path, what):
+    from .coeffs import FiniteGroup
     if isinstance(doc, dict) and "cyclic" in doc:
-        return FiniteGroup.cyclic(int(doc["cyclic"]))
+        return FiniteGroup.cyclic(
+            _positive_integer(doc["cyclic"], f"{what}.cyclic", path))
     if isinstance(doc, dict) and "table" in doc:
         try:
             return FiniteGroup(doc["table"])
         except Exception as exc:
             raise ProblemFileError(f"{path}: bad group table: {exc}") from exc
-    raise ProblemFileError(f"{path}: group must give 'cyclic' or 'table'")
+    raise ProblemFileError(f"{path}: {what} must give 'cyclic' or 'table'")
 
 
 def parse_automorphism(doc, group, path):
+    from .coeffs import Automorphism
     if doc in (None, "identity"):
         return Automorphism.identity(group)
     if doc == "negation":
@@ -153,14 +192,16 @@ def parse_automorphism(doc, group, path):
 
 
 def parse_transition(path):
+    from .lifting import TransitionData
     doc = load_document(path)
     if doc["kind"] != "transition":
         raise ProblemFileError(f"{path}: expected a transition file")
     nerve = _resolve_nerve(doc, path)
-    group = parse_group(_need(doc, "group", path), path)
+    group = parse_group(_need(doc, "group", path), path, "group")
     sigma = parse_automorphism(doc.get("sigma"), group, path)
-    g = _parse_edge_list(doc.get("edges"), "edges", path)
-    eps = _parse_edge_list(doc.get("twist"), "twist", path)
+    g = _parse_edge_list(doc.get("edges"), "edges", path, nerve,
+                         range(group.order))
+    eps = _parse_edge_list(doc.get("twist"), "twist", path, nerve, SIGNS)
     try:
         return TransitionData(nerve, group, sigma, g, eps)
     except Exception as exc:
@@ -168,11 +209,12 @@ def parse_transition(path):
 
 
 def parse_extension(path):
+    from .coeffs import CentralExtension
     doc = load_document(path)
     if doc["kind"] != "extension":
         raise ProblemFileError(f"{path}: expected an extension file")
-    hat = parse_group(_need(doc, "hat_group", path), path)
-    base = parse_group(_need(doc, "base_group", path), path)
+    hat = parse_group(_need(doc, "hat_group", path), path, "hat_group")
+    base = parse_group(_need(doc, "base_group", path), path, "base_group")
     sigma_hat = parse_automorphism(doc.get("sigma_hat"), hat, path)
     sigma = parse_automorphism(doc.get("sigma"), base, path)
     try:
@@ -185,15 +227,19 @@ def parse_extension(path):
         raise ProblemFileError(f"{path}: bad extension: {exc}") from exc
 
 
-def parse_lifts(path, nerve):
+def parse_lifts(path, nerve, group):
+    """Lifts into ``group`` (the extension's hat group) on every edge of
+    ``nerve``."""
+    from .lifting import LiftChoice
     doc = load_document(path)
     if doc["kind"] != "lifts":
         raise ProblemFileError(f"{path}: expected a lifts file")
-    table = _parse_edge_list(doc.get("edges"), "edges", path)
+    table = _parse_edge_list(doc.get("edges"), "edges", path, nerve,
+                             range(group.order))
     missing = [e for e in nerve.simplices[1] if e not in table]
     if missing:
         raise ProblemFileError(f"{path}: lifts missing for edges {missing}")
-    return LiftChoice(tuple(int(table[e]) for e in nerve.simplices[1]))
+    return LiftChoice(tuple(table[e] for e in nerve.simplices[1]))
 
 
 def parse_loop(path):
@@ -202,9 +248,7 @@ def parse_loop(path):
     doc = load_document(path)
     if doc["kind"] != "loop":
         raise ProblemFileError(f"{path}: expected a loop file")
-    size = _need(doc, "size", path)
-    if type(size) is not int or size < 1:  # also rejects true and false
-        raise ProblemFileError(f"{path}: size must be an integer >= 1, got {size!r}")
+    size = _positive_integer(_need(doc, "size", path), "size", path)
     coeffs = {}
     for entry in _need(doc, "coefficients", path):
         m = _need(entry, "mode", path)

@@ -1,10 +1,11 @@
-"""The import contract: the exact side never loads numpy.
+"""The import contract: every layer loads the first time it is used.
 
-``import gerbelab`` and ``import gerbelab.cli`` leave numpy, ``connection``
-and ``schwinger`` unloaded, the ``cohomology`` and ``obstruction``
-commands run to their golden bytes without loading them, and neither do
-real or circle-valued coboundary solves.  Every check runs
-in a fresh interpreter, since this test session has long imported numpy.
+``import gerbelab`` loads no layer and ``import gerbelab.cli`` only
+``coeffs`` and ``errors``; each command loads the layers it runs and no
+other.  The exact side never loads numpy: the ``cohomology`` and
+``obstruction`` commands run to their golden bytes without it, and so do
+real or circle-valued coboundary solves.  Every check runs in a fresh
+interpreter, since this test session has long imported all of them.
 """
 
 import json
@@ -13,7 +14,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_golden_cli import CASES, EXIT_CODES, GOLDEN
+import pytest
+
+from test_golden_cli import CASES, EXIT_CODES, GOLDEN, LOOPS, S
 
 ROOT = Path(__file__).parent.parent
 FLOAT_MODULES = ("numpy", "gerbelab.connection", "gerbelab.schwinger")
@@ -52,6 +55,47 @@ def run_python(script):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def loaded_by(script):
+    """The gerbelab layers (by short name), numpy and yaml that ``script``
+    leaves loaded in a fresh interpreter."""
+    return set(run_python(
+        "import json, sys\n"
+        f"{script}\n"
+        "print(json.dumps([m.partition('gerbelab.')[2] or m for m in sys.modules\n"
+        "                  if m.startswith('gerbelab.') or m in ('numpy', 'yaml')]))\n"))
+
+
+def test_importing_the_package_loads_no_layer():
+    assert loaded_by("import gerbelab") == set()
+
+
+def test_importing_the_cli_loads_only_coeffs_and_errors():
+    assert loaded_by("import gerbelab.cli") == {"cli", "coeffs", "errors"}
+
+
+EXACT_LAYERS = {"cech", "snf", "nerve", "lifting", "models"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["schwinger", "--mode", "trace", "--random", "2,3"],
+     EXACT_LAYERS | {"yaml", "io", "connection"}),
+    (["schwinger", *LOOPS, "--mode", "trace"], EXACT_LAYERS | {"connection"}),
+    (["chern", S + "bundle_sphere_degree1.yaml", "--grid", "40"],
+     EXACT_LAYERS | {"schwinger"}),
+    (["cohomology", S + "system_rp2_mod2.yaml", "--degree", "2"],
+     {"numpy", "lifting", "models", "schwinger", "connection"}),
+], ids=["schwinger-random", "schwinger-files", "chern", "cohomology"])
+def test_each_command_loads_only_the_layers_it_runs(argv, unused):
+    loaded = loaded_by(
+        "import contextlib, io\n"
+        "from gerbelab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "if code:\n"
+        "    sys.exit(code)")
+    assert "cli" in loaded and not loaded & unused
 
 
 def test_importing_the_package_and_cli_loads_no_numpy():

@@ -1,10 +1,12 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from gerbelab import cli
 from gerbelab import io as gio
@@ -136,6 +138,105 @@ def test_coefficient_tolerance_read_as_given(kind):
 def test_bad_coefficient_tolerance_rejected(kind, tolerance):
     with pytest.raises(ProblemFileError):
         gio.parse_coefficients({"set": kind, "tolerance": tolerance})
+
+
+# --- strict integer fields and edge lists: a mutation sweep ----------------
+
+TRANSITION_RUN = ["obstruction", "transition_rp2_z2.yaml", "extension_z2_z4.yaml",
+                  "--lifts", "lifts_rp2.yaml"]
+RUNS = {  # sample file -> a command that reads it
+    "nerve_rp2.yaml": ["cohomology", "system_rp2_mod2.yaml", "--degree", "1"],
+    "system_rp2_mod2.yaml": ["cohomology", "system_rp2_mod2.yaml", "--degree", "1"],
+    "system_circle_mobius.yaml": ["cohomology", "system_circle_mobius.yaml",
+                                  "--degree", "1"],
+    "transition_rp2_z2.yaml": TRANSITION_RUN,
+    "extension_z2_z4.yaml": TRANSITION_RUN,
+    "lifts_rp2.yaml": TRANSITION_RUN,
+}
+# (file, keys of an integer field, values below its least value)
+INTEGER_FIELDS = [
+    ("nerve_rp2.yaml", ("vertices",), [0, -6]),
+    ("system_rp2_mod2.yaml", ("coefficients", "modulus"), [0, -2]),
+    ("transition_rp2_z2.yaml", ("group", "cyclic"), [0, -2]),
+    ("extension_z2_z4.yaml", ("hat_group", "cyclic"), [0, -4]),
+    ("extension_z2_z4.yaml", ("base_group", "cyclic"), [0, -2]),
+]
+# (file, edge list key, vertex count, values out of range, another valid value
+# for the first entry's edge)
+EDGE_LISTS = [
+    ("system_circle_mobius.yaml", "twist", 3, [0, 2, -2], 1),
+    ("transition_rp2_z2.yaml", "edges", 6, [2, -1], 0),
+    ("lifts_rp2.yaml", "edges", 6, [4, -1], 3),
+]
+
+
+def _set(keys, value):
+    def mutate(doc):
+        *outer, last = keys
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _edges(key, change):
+    def mutate(doc):
+        (i, j, v), rest = doc[key][0], doc[key][1:]
+        doc[key] = change(i, j, v, rest)
+    return mutate
+
+
+def _mutants():
+    for name, keys, low in INTEGER_FIELDS:
+        for bad in [True, 2.7, "2", *low]:
+            yield name, ".".join(keys), f"{bad!r}", _set(keys, bad)
+    for name, key, vertices, out_of_range, other in EDGE_LISTS:
+        changes = {
+            "value-bool": lambda i, j, v, rest: [[i, j, True]] + rest,
+            "value-float": lambda i, j, v, rest: [[i, j, float(v)]] + rest,
+            "value-str": lambda i, j, v, rest: [[i, j, str(v)]] + rest,
+            "endpoint-float": lambda i, j, v, rest: [[i + 0.5, j, v]] + rest,
+            "endpoint-str": lambda i, j, v, rest: [[str(i), j, v]] + rest,
+            "duplicate": lambda i, j, v, rest: [[i, j, v]] + rest + [[i, j, v]],
+            "reversed-duplicate":
+                lambda i, j, v, rest, o=other: [[i, j, v]] + rest + [[j, i, o]],
+            "non-edge":
+                lambda i, j, v, rest, n=vertices: [[i, j, v]] + rest + [[i, n, v]],
+            "self-loop": lambda i, j, v, rest: [[i, j, v]] + rest + [[i, i, v]],
+            **{f"value-{x}": lambda i, j, v, rest, x=x: [[i, j, x]] + rest
+               for x in out_of_range},
+        }
+        for label, change in changes.items():
+            yield name, key, label, _edges(key, change)
+
+
+MUTANTS = list(_mutants())
+
+
+@pytest.mark.parametrize("name, field, label, mutate", MUTANTS,
+                         ids=[f"{m[0]}:{m[1]}:{m[2]}" for m in MUTANTS])
+def test_strict_readers_reject_every_mutant(tmp_path, capsys, name, field, label,
+                                            mutate):
+    shutil.copytree(SAMPLES, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    doc = yaml.safe_load(path.read_text())
+    mutate(doc)
+    path.write_text(yaml.safe_dump(doc))
+    argv = [str(tmp_path / a) if a.endswith(".yaml") else a for a in RUNS[name]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{path}: {field}" in captured.err  # names the file and the field
+    assert captured.out == ""
+
+
+def test_edge_entries_name_their_edge_in_either_order(tmp_path):
+    path = tmp_path / "mobius.yaml"
+    text = (SAMPLES / "system_circle_mobius.yaml").read_text()
+    path.write_text(text.replace("[0, 2, -1]", "[2, 0, -1]"))
+    assert gio.parse_system(str(path)).eps_of(0, 2) == -1
+    proc = run_cli("cohomology", str(path), "--degree", "1")
+    assert proc.returncode == 0
+    assert "result: free 0, torsion [2]" in proc.stdout
 
 
 # --- CLI end to end ---------------------------------------------------------
