@@ -44,6 +44,25 @@ from .errors import (DegreeOverflow, LiftNotIntegral, NotACocycle,
 from .nerve import MAX_DIM, faces
 
 
+def edge_signs(nerve, eps):
+    """One +-1 per edge of ``nerve``, in edge order, read from None (every
+    sign +1), a dict over ascending edges (unlisted edges +1) or a sequence
+    listing every edge.  Raises ValueError on a sequence of the wrong
+    length or a value other than +-1; the triangle law is the caller's."""
+    edges = nerve.simplices[1]
+    if eps is None:
+        return (1,) * len(edges)
+    if isinstance(eps, dict):
+        signs = tuple(int(eps.get(e, 1)) for e in edges)
+    else:
+        signs = tuple(int(x) for x in eps)
+        if len(signs) != len(edges):
+            raise ValueError("eps length must match the number of edges")
+    if any(x not in (1, -1) for x in signs):
+        raise ValueError("eps values must be +1 or -1")
+    return signs
+
+
 class TwistedLocalSystem:
     """A nerve, a coefficient group, and an edge-sign cocycle eps.
 
@@ -56,18 +75,7 @@ class TwistedLocalSystem:
     def __init__(self, nerve, coeff, eps=None):
         self.nerve = nerve
         self.coeff = coeff
-        edges = nerve.simplices[1]
-        if eps is None:
-            eps_tuple = tuple(1 for _ in edges)
-        elif isinstance(eps, dict):
-            eps_tuple = tuple(int(eps.get(e, 1)) for e in edges)
-        else:
-            eps_tuple = tuple(int(x) for x in eps)
-            if len(eps_tuple) != len(edges):
-                raise ValueError("eps length must match the number of edges")
-        if any(x not in (1, -1) for x in eps_tuple):
-            raise ValueError("eps values must be +1 or -1")
-        self.eps = eps_tuple
+        self.eps = edge_signs(nerve, eps)
         self._cache = {}
         for (i, j, k) in nerve.simplices[2]:
             if self.eps_of(i, j) * self.eps_of(j, k) != self.eps_of(i, k):
@@ -387,8 +395,9 @@ def _solve_past_rank(z, sys, period, tol):
 def u1_is_coboundary(z, sys):
     """Triviality test for circle-valued cocycles from one integer Smith form.
 
-    The lift zh of z to [0,1) must have an integral coboundary n = d(zh),
-    else NotU1Cocycle or LiftNotIntegral.  z is then a coboundary mod 1
+    The lift zh of z to [0,1) must have a coboundary n = d(zh) that is
+    integral within tolerance (else NotU1Cocycle) and closed once rounded
+    (else LiftNotIntegral).  z is then a coboundary mod 1
     exactly when is_coboundary's reading with period 1 finds every (S zh)_i
     past the rank an integer: S zh = D y + m with m integral, and b = T y
     has d b = zh - S^-1 m.  Otherwise the row S_i pairs with zh to a
@@ -412,23 +421,19 @@ def _integral_coboundary_of_lift(z, sys):
     """Round d(lift) to the integer cocycle it must be; also return the
     integer-coefficient system carrying the same twist.
 
-    The mod-1 closure of z is the precondition (NotU1Cocycle); a rounding
-    drift past tolerance afterwards signals a broken lift (LiftNotIntegral).
+    One real pass sums d(lift); each value must be zero mod 1 in the
+    circle's own sense (coeff.is_zero), else NotU1Cocycle.  The rounded
+    values must then be closed, else LiftNotIntegral.
     """
     k = z.degree
-    if not is_cocycle(z, sys):
-        raise NotU1Cocycle(f"degree-{k} cochain is not closed modulo 1")
     lift = Cochain(k, tuple(float(v) for v in z.values))
     real_sys = sys.with_coefficients(
         CoefficientGroup.reals(involution=sys.coeff.involution))
-    tol = max(sys.coeff.tolerance, 1e-9)
     n_int = []
     for val in coboundary(lift, real_sys).values if k < MAX_DIM else ():
-        r = round(val)
-        if abs(val - r) > tol:
-            raise LiftNotIntegral(
-                f"coboundary of the lift is {val}, not an integer within {tol}")
-        n_int.append(int(r))
+        if not sys.coeff.is_zero(val):
+            raise NotU1Cocycle(f"degree-{k} cochain is not closed modulo 1")
+        n_int.append(int(round(val)))
     int_sys = sys.with_coefficients(
         CoefficientGroup.integers(involution=sys.coeff.involution))
     n_cochain = Cochain(k + 1, tuple(n_int))

@@ -3,14 +3,16 @@
 Coefficient groups are the abelian value groups of twisted cochains:
 integers, integers mod n, reals, and the circle R/Z (written additively,
 values normalized to [0, 1)).  Finite groups are multiplication tables,
-which is enough for every worked lifting example; the semidirect product
-G x| Z2 and central-extension bookkeeping live here too.
+which is enough for every worked lifting example.  The semidirect product
+G x| Z2 lives here once: semidirect_mul and semidirect_inv are the only
+code that multiplies or inverts in it, and lifting reads them for both the
+base group and an extension's hat group.  Central-extension bookkeeping
+lives here too, with verify_extension as its one validity report.
 """
 
 from dataclasses import dataclass
 
-from .errors import (BadSection, NotCentral, NotEquivariant, NotHomomorphism,
-                     UnsupportedCoefficient)
+from .errors import UnsupportedCoefficient
 
 INTEGERS = "integers"
 MOD = "mod"
@@ -350,21 +352,16 @@ class CentralExtension:
         return CoefficientGroup.integers_mod(self.kernel_order,
                                              involution=self.kernel_involution())
 
-    def require_valid(self):
-        report = verify_extension(self)
-        if report.ok:
-            return
-        exc = {"NotCentral": NotCentral, "NotHomomorphism": NotHomomorphism,
-               "BadSection": BadSection, "NotEquivariant": NotEquivariant}
-        raise exc[report.violation](report.message)
-
 
 def verify_extension(ext):
     """Check the defining identities of a central extension, in order:
 
-    kernel centrality, projection homomorphism + kernel exactness,
-    section property q(s(g)) = g, and equivariance q(sigma_hat(h)) =
-    sigma(q(h)).  Returns the first violated identity.
+    kernel centrality, projection homomorphism + kernel exactness, the
+    kernel labelling (kernel[0] is the identity and kernel[v] kernel[w] =
+    kernel[(v + w) mod m]), section property q(s(g)) = g, and equivariance
+    q(sigma_hat(h)) = sigma(q(h)).  Returns the first violated identity;
+    the violation is named by a string (NotCentral, NotHomomorphism,
+    BadSection or NotEquivariant).
     """
     hat, base = ext.hat, ext.base
     for a in ext.kernel:
@@ -386,6 +383,16 @@ def verify_extension(ext):
     if ker != set(ext.kernel):
         return ExtensionReport(False, "NotHomomorphism", tuple(sorted(ker)),
                                "declared kernel differs from ker(q)")
+    m, kernel = ext.kernel_order, ext.kernel
+    if kernel[0] != hat.identity:
+        return ExtensionReport(False, "NotHomomorphism", (0,),
+                               f"kernel[0] = {kernel[0]} is not the identity")
+    for v in range(m):
+        for w in range(m):
+            if hat.mul(kernel[v], kernel[w]) != kernel[(v + w) % m]:
+                return ExtensionReport(
+                    False, "NotHomomorphism", (v, w),
+                    f"kernel[{v}]*kernel[{w}] != kernel[{(v + w) % m}]")
     for g in range(base.order):
         if ext.q(ext.s(g)) != g:
             return ExtensionReport(False, "BadSection", (g,),

@@ -38,25 +38,7 @@ class NotU1Cocycle(GerbeError):
 
 
 class LiftNotIntegral(GerbeError):
-    """Coboundary of the real lift is not integer-valued within tolerance."""
-
-
-# coeffs (raised by CentralExtension.require_valid)
-
-class NotCentral(GerbeError):
-    """Kernel element fails to commute with some group element."""
-
-
-class NotHomomorphism(GerbeError):
-    """Projection map does not respect multiplication."""
-
-
-class BadSection(GerbeError):
-    """Section composed with projection is not the identity."""
-
-
-class NotEquivariant(GerbeError):
-    """Lifted involution does not cover the base involution."""
+    """Rounded coboundary of the real lift is not an integer cocycle."""
 
 
 # lifting

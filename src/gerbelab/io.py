@@ -6,13 +6,17 @@ naming its nerve by path) resolve relative to the referring file.  The
 exact grammars are documented in docs/formats.md with one committed
 example per kind under sample_inputs/.
 
-Integer fields are strict: a bool, float or string is bad input, never
-coerced.  Loading this module loads PyYAML and ``errors`` only; each
-parser imports the layer it builds.
+Numeric fields are strict: an integer field or list entry (orders, group
+tables, permutations, extension maps, bundle clutching, resolution and
+corruption indices) must be a YAML int, and a real field (bundle inner,
+outer, extent) a finite int or float.  A bool, a string, or a float where
+an int belongs is bad input, never coerced.  Loading this module loads
+PyYAML and ``errors`` only; each parser imports the layer it builds.
 """
 
 import hashlib
 import os
+from math import isfinite
 
 import yaml
 
@@ -59,17 +63,37 @@ def _need(doc, key, path):
     return doc[key]
 
 
-def _positive_integer(value, what, path):
-    """``value`` if it is an int, not a bool, and at least 1."""
-    if type(value) is not int or value < 1:
+def _integer(value, what, path, least=None):
+    """``value`` if it is an int, not a bool, and at least ``least``."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
         raise ProblemFileError(
-            f"{path}: {what} must be an integer >= 1, got {value!r}")
+            f"{path}: {what} must be an integer{bound}, got {value!r}")
     return value
+
+
+def _integer_list(value, what, path, size=None):
+    """``value`` if it is a list of ints, none of them a bool, each in
+    0..size-1 when ``size`` is given."""
+    if (not isinstance(value, list) or any(type(x) is not int for x in value)
+            or size is not None and any(not 0 <= x < size for x in value)):
+        rule = "integers" if size is None else f"integers in 0..{size - 1}"
+        raise ProblemFileError(
+            f"{path}: {what} must be a list of {rule}, got {value!r}")
+    return value
+
+
+def _finite_real(value, what, path):
+    """``value`` as a float if it is a finite int or float, not a bool."""
+    if type(value) not in (int, float) or not isfinite(value):
+        raise ProblemFileError(
+            f"{path}: {what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def parse_nerve(doc, path="<inline>"):
     from .nerve import build_nerve
-    vertices = _positive_integer(_need(doc, "vertices", path), "vertices", path)
+    vertices = _integer(_need(doc, "vertices", path), "vertices", path, least=1)
     maximal = _need(doc, "maximal", path)
     if not isinstance(maximal, list):
         raise ProblemFileError(f"{path}: maximal must be a list of simplices")
@@ -98,8 +122,8 @@ def parse_coefficients(doc, path="<inline>"):
     involution = doc.get("involution", "identity")
     tolerance = doc.get("tolerance", 1e-9)
     if kind == "mod":
-        modulus = _positive_integer(_need(doc, "modulus", path),
-                                    "coefficients.modulus", path)
+        modulus = _integer(_need(doc, "modulus", path), "coefficients.modulus",
+                           path, least=1)
     try:
         if kind == "integers":
             return CoefficientGroup.integers(involution=involution)
@@ -167,24 +191,30 @@ def parse_group(doc, path, what):
     from .coeffs import FiniteGroup
     if isinstance(doc, dict) and "cyclic" in doc:
         return FiniteGroup.cyclic(
-            _positive_integer(doc["cyclic"], f"{what}.cyclic", path))
+            _integer(doc["cyclic"], f"{what}.cyclic", path, least=1))
     if isinstance(doc, dict) and "table" in doc:
+        table = doc["table"]
+        if not isinstance(table, list):
+            raise ProblemFileError(f"{path}: {what}.table must be a list of rows")
+        for row in table:
+            _integer_list(row, f"{what}.table row", path)
         try:
-            return FiniteGroup(doc["table"])
+            return FiniteGroup(table)
         except Exception as exc:
             raise ProblemFileError(f"{path}: bad group table: {exc}") from exc
     raise ProblemFileError(f"{path}: {what} must give 'cyclic' or 'table'")
 
 
-def parse_automorphism(doc, group, path):
+def parse_automorphism(doc, group, path, what):
     from .coeffs import Automorphism
     if doc in (None, "identity"):
         return Automorphism.identity(group)
     if doc == "negation":
         return Automorphism.negation(group)
     if isinstance(doc, dict) and "permutation" in doc:
+        perm = _integer_list(doc["permutation"], f"{what}.permutation", path)
         try:
-            return Automorphism(group, doc["permutation"])
+            return Automorphism(group, perm)
         except Exception as exc:
             raise ProblemFileError(f"{path}: bad automorphism: {exc}") from exc
     raise ProblemFileError(f"{path}: automorphism must be identity, negation, "
@@ -198,7 +228,7 @@ def parse_transition(path):
         raise ProblemFileError(f"{path}: expected a transition file")
     nerve = _resolve_nerve(doc, path)
     group = parse_group(_need(doc, "group", path), path, "group")
-    sigma = parse_automorphism(doc.get("sigma"), group, path)
+    sigma = parse_automorphism(doc.get("sigma"), group, path, "sigma")
     g = _parse_edge_list(doc.get("edges"), "edges", path, nerve,
                          range(group.order))
     eps = _parse_edge_list(doc.get("twist"), "twist", path, nerve, SIGNS)
@@ -215,14 +245,13 @@ def parse_extension(path):
         raise ProblemFileError(f"{path}: expected an extension file")
     hat = parse_group(_need(doc, "hat_group", path), path, "hat_group")
     base = parse_group(_need(doc, "base_group", path), path, "base_group")
-    sigma_hat = parse_automorphism(doc.get("sigma_hat"), hat, path)
-    sigma = parse_automorphism(doc.get("sigma"), base, path)
+    sigma_hat = parse_automorphism(doc.get("sigma_hat"), hat, path, "sigma_hat")
+    sigma = parse_automorphism(doc.get("sigma"), base, path, "sigma")
+    maps = [_integer_list(_need(doc, key, path), key, path, group.order)
+            for key, group in (("projection", base), ("section", hat),
+                               ("kernel", hat))]
     try:
-        return CentralExtension(hat, base,
-                                _need(doc, "projection", path),
-                                _need(doc, "section", path),
-                                _need(doc, "kernel", path),
-                                sigma_hat=sigma_hat, sigma=sigma)
+        return CentralExtension(hat, base, *maps, sigma_hat=sigma_hat, sigma=sigma)
     except Exception as exc:
         raise ProblemFileError(f"{path}: bad extension: {exc}") from exc
 
@@ -248,12 +277,10 @@ def parse_loop(path):
     doc = load_document(path)
     if doc["kind"] != "loop":
         raise ProblemFileError(f"{path}: expected a loop file")
-    size = _positive_integer(_need(doc, "size", path), "size", path)
+    size = _integer(_need(doc, "size", path), "size", path, least=1)
     coeffs = {}
     for entry in _need(doc, "coefficients", path):
-        m = _need(entry, "mode", path)
-        if type(m) is not int:
-            raise ProblemFileError(f"{path}: mode must be an integer, got {m!r}")
+        m = _integer(_need(entry, "mode", path), "mode", path)
         if m in coeffs:
             raise ProblemFileError(f"{path}: mode {m} appears twice")
         flat = _need(entry, "matrix", path)
@@ -283,23 +310,25 @@ def parse_bundle(path, resolution=None):
     model = _need(doc, "model", path)
     if model != "two-chart-sphere":
         raise ProblemFileError(f"{path}: unknown bundle model {model!r}")
-    options = {
-        "clutching": int(doc.get("clutching", 0)),
-        "resolution": int(doc.get("resolution", 200)) if resolution is None
-        else resolution,
-        "inner": float(doc.get("inner", 0.7)),
-        "outer": float(doc.get("outer", 1.4)),
-        "extent": float(doc.get("extent", 1.6)),
-    }
-    if options["resolution"] < 8:
+    if resolution is None:
+        resolution = _integer(doc.get("resolution", 200), "resolution", path)
+    if resolution < 8:
         raise ProblemFileError(
-            f"{path}: resolution {options['resolution']} too small (need >= 8)")
+            f"{path}: resolution {resolution} too small (need >= 8)")
+    options = {"clutching": _integer(doc.get("clutching", 0), "clutching", path),
+               "resolution": resolution}
+    for key, default in (("inner", 0.7), ("outer", 1.4), ("extent", 1.6)):
+        options[key] = _finite_real(doc.get(key, default), key, path)
     corruption = doc.get("corruption")
     if corruption is not None:
         need = {"chart", "other", "index", "factor"}
         if not isinstance(corruption, dict) or not need <= set(corruption):
             raise ProblemFileError(
                 f"{path}: corruption needs keys {sorted(need)}")
+        for key in ("chart", "other"):
+            _integer(corruption[key], f"corruption.{key}", path, least=0)
+        for x in _integer_list(corruption["index"], "corruption.index", path):
+            _integer(x, "corruption.index", path, least=0)
         options["corruption"] = corruption
 
     def build(resolution=None):
@@ -312,8 +341,8 @@ def parse_bundle(path, resolution=None):
             factor = corruption["factor"]
             factor = complex(factor[0], factor[1]) if isinstance(factor, list) \
                 else complex(factor)
-            data.corrupt_sample(int(corruption["chart"]), int(corruption["other"]),
-                                tuple(int(x) for x in corruption["index"]), factor)
+            data.corrupt_sample(corruption["chart"], corruption["other"],
+                                tuple(corruption["index"]), factor)
         return data
 
     return build, options

@@ -1,22 +1,27 @@
 """Twisted transition cocycles and the central-extension lifting obstruction.
 
-Transition data assigns to each ascending edge (i, j) a pair (g_ij, eps_ij)
-in G x| Z2, subject to eps_ij eps_jk = eps_ik and g_ij sigma^{eps_ij}(g_jk)
-= g_ik on triangles.  Choosing lifts of the g_ij through a central
-extension, the failure of the lifted cocycle condition
+Transition data assigns to each ascending edge (i, j) a pair x_ij =
+(g_ij, eps_ij) in G x| Z2, subject to the cocycle law x_ij x_jk = x_ik on
+triangles, i.e. eps_ij eps_jk = eps_ik and g_ij sigma^{eps_ij}(g_jk) = g_ik.
+Choosing lifts of the g_ij through a central extension, the failure of the
+lifted cocycle condition
 
-    a_ijk = ghat_ij . sigmahat^{eps_ij}(ghat_jk) . ghat_ik^{-1}
+    (P, eps_ik) = xhat_ij xhat_jk in hat x| Z2 under sigmahat,
+    a_ijk = P . ghat_ik^{-1}
 
 lands in the central kernel and is a twisted 2-cocycle there.  Its class
 does not depend on the lifts, and vanishes exactly when corrected lifts
-satisfying the strict cocycle condition exist.
+satisfying the strict cocycle condition exist.  Every product in G x| Z2
+and in hat x| Z2 is coeffs.semidirect_mul; nerve simplices are increasing
+tuples, so only ascending edges are ever read.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from . import cech
-from .cech import Certificate, Cochain, TwistedLocalSystem
+from .cech import Certificate, Cochain, TwistedLocalSystem, edge_signs
+from .coeffs import SemidirectElement, semidirect_mul
 from .errors import (CocycleIdentityViolated, LiftMismatch, NotACocycle,
                      ShapeMismatch, ValueNotInKernel)
 
@@ -24,8 +29,9 @@ from .errors import (CocycleIdentityViolated, LiftMismatch, NotACocycle,
 class TransitionData:
     """Edge-indexed (g, eps) pairs on a nerve, with an involutive G-action.
 
-    Values are stored on ascending edges only; the descending value is the
-    semidirect inverse (g_ji, eps_ji) = (g_ij, eps_ij)^{-1}.
+    Values are stored on ascending edges, in the nerve's edge order; ``eps``
+    is read by cech.edge_signs, and its triangle law is left to
+    check_twisted_cocycle.
     """
 
     __slots__ = ("nerve", "group", "sigma", "g", "eps")
@@ -43,29 +49,17 @@ class TransitionData:
             self.g = tuple(int(x) for x in g)
         if len(self.g) != len(edges):
             raise ValueError("transition values must cover every edge")
-        if eps is None:
-            self.eps = tuple(1 for _ in edges)
-        elif isinstance(eps, dict):
-            self.eps = tuple(int(eps.get(e, 1)) for e in edges)
-        else:
-            self.eps = tuple(int(x) for x in eps)
-        if any(x not in (1, -1) for x in self.eps):
-            raise ValueError("eps values must be +1 or -1")
+        self.eps = edge_signs(nerve, eps)
 
-    def edge_value(self, i, j):
-        """(g, eps) on the ordered edge (i, j); inverse rule for i > j."""
-        if i == j:
-            return self.group.identity, 1
-        if i < j:
-            idx = self.nerve.index_of((i, j))
-            return self.g[idx], self.eps[idx]
-        idx = self.nerve.index_of((j, i))
-        g, e = self.g[idx], self.eps[idx]
-        gi = self.group.inv(g)
-        return (self.sigma(gi) if e == -1 else gi), e
 
-    def act(self, eps, g):
-        return self.sigma(g) if eps == -1 else g
+def _triangle_products(nerve, values, eps, sigma):
+    """(triangle, x_ij x_jk, x_ik) on every triangle (i, j, k), where x_e is
+    (values[e], eps[e]) in the semidirect product under ``sigma``."""
+    x = [SemidirectElement(v, e) for v, e in zip(values, eps)]
+    index = nerve.index_of
+    for (i, j, k) in nerve.simplices[2]:
+        yield ((i, j, k), semidirect_mul(x[index((i, j))], x[index((j, k))], sigma),
+               x[index((i, k))])
 
 
 @dataclass(frozen=True)
@@ -83,17 +77,11 @@ class CocycleReport:
 
 
 def check_twisted_cocycle(td):
-    """Verify eps_ij eps_jk = eps_ik and g_ij sigma^{eps_ij}(g_jk) = g_ik
-    on every triangle; report the first failing one with both sides."""
-    grp = td.group
-    for (i, j, k) in td.nerve.simplices[2]:
-        gij, eij = td.edge_value(i, j)
-        gjk, ejk = td.edge_value(j, k)
-        gik, eik = td.edge_value(i, k)
-        lhs = (grp.mul(gij, td.act(eij, gjk)), eij * ejk)
-        rhs = (gik, eik)
+    """Verify x_ij x_jk = x_ik in G x| Z2 on every triangle; report the
+    first failing one with both sides as (g, eps) pairs."""
+    for t, lhs, rhs in _triangle_products(td.nerve, td.g, td.eps, td.sigma):
         if lhs != rhs:
-            return CocycleReport(False, (i, j, k), lhs, rhs)
+            return CocycleReport(False, t, (lhs.g, lhs.eps), (rhs.g, rhs.eps))
     return CocycleReport(True)
 
 
@@ -128,10 +116,11 @@ class ObstructionResult:
 def obstruction(td, ext, lifts=None):
     """Compute a_ijk over all triangles and normalize into kernel values.
 
-    Verifies that each entry is central (ValueNotInKernel otherwise), that
-    the lifts project correctly (LiftMismatch), and that the twisted
-    2-cocycle identity a_ijk a_ikl = sigmahat^{eps_ij}(a_jkl) a_ijl holds
-    in the hat group on every tetrahedron (CocycleIdentityViolated).
+    Verifies that the lifts lie in the hat group and project correctly
+    (LiftMismatch), that each entry is central (ValueNotInKernel), and that
+    the twisted 2-cocycle identity a_ijk a_ikl = sigmahat^{eps_ij}(a_jkl)
+    a_ijl holds in the hat group on every tetrahedron
+    (CocycleIdentityViolated).
     """
     report = check_twisted_cocycle(td)
     if not report.ok:
@@ -143,43 +132,31 @@ def obstruction(td, ext, lifts=None):
     if len(lifts.values) != len(edges):
         raise LiftMismatch("lift list does not cover every edge")
     for idx, e in enumerate(edges):
-        if ext.q(lifts.values[idx]) != td.g[idx]:
+        h = lifts.values[idx]
+        if not 0 <= h < hat.order:
+            raise LiftMismatch(f"lift on edge {e} is {h}, not an element of "
+                               f"the hat group (0..{hat.order - 1})")
+        if ext.q(h) != td.g[idx]:
             raise LiftMismatch(f"lift on edge {e} projects to "
-                               f"{ext.q(lifts.values[idx])}, expected {td.g[idx]}")
-
-    def hat_edge(i, j):
-        if i < j:
-            return lifts.values[td.nerve.index_of((i, j))]
-        h = lifts.values[td.nerve.index_of((j, i))]
-        _, e = td.edge_value(j, i)
-        hi = hat.inv(h)
-        return ext.sigma_hat(hi) if e == -1 else hi
-
-    def hat_a(i, j, k):
-        gij = hat_edge(i, j)
-        gjk = hat_edge(j, k)
-        gik = hat_edge(i, k)
-        _, eij = td.edge_value(i, j)
-        tw = ext.sigma_hat(gjk) if eij == -1 else gjk
-        return hat.mul(hat.mul(gij, tw), hat.inv(gik))
-
+                               f"{ext.q(h)}, expected {td.g[idx]}")
     values = []
     hat_values = {}
-    for t in td.nerve.simplices[2]:
-        ah = hat_a(*t)
+    for t, p, x_ik in _triangle_products(td.nerve, lifts.values, td.eps,
+                                         ext.sigma_hat):
+        ah = hat.mul(p.g, hat.inv(x_ik.g))
         v = ext.kernel_value(ah)
         if v is None:
             raise ValueNotInKernel(
                 f"obstruction entry on {t} is {ah}, outside the kernel")
         hat_values[t] = ah
         values.append(v)
+    index = td.nerve.index_of
     for (i, j, k, l) in td.nerve.simplices[3]:
-        _, eij = td.edge_value(i, j)
         a_jkl = hat_values[(j, k, l)]
+        if td.eps[index((i, j))] == -1:
+            a_jkl = ext.sigma_hat(a_jkl)
         lhs = hat.mul(hat_values[(i, j, k)], hat_values[(i, k, l)])
-        rhs = hat.mul(ext.sigma_hat(a_jkl) if eij == -1 else a_jkl,
-                      hat_values[(i, j, l)])
-        if lhs != rhs:
+        if lhs != hat.mul(a_jkl, hat_values[(i, j, l)]):
             raise CocycleIdentityViolated(
                 f"twisted 2-cocycle identity fails on {(i, j, k, l)}")
     system = TwistedLocalSystem(td.nerve, ext.kernel_coefficients(), td.eps)

@@ -8,7 +8,10 @@ Toeplitz blocks from a double loop over mode pairs, the twisted
 coboundary of a cochain face by face from the simplices (the bit-for-bit
 reference for cech.coboundary, which reads the rows of delta_matrix), the
 untwisted lifting obstruction from a from-scratch formula, cup products from
-the Alexander-Whitney front-face/back-face rule, and the connection
+the Alexander-Whitney front-face/back-face rule, the twisted transition
+cocycle check and lifting obstruction with the semidirect product written
+out by hand (the bit-for-bit reference for lifting, which reads
+coeffs.semidirect_mul), and the connection
 pipeline (pullback connection, curvature, gauge residual, Chern number)
 on full grids, with matrix products and the curvature bracket at every
 rank and a separate bilinear interpolation of each form.
@@ -226,6 +229,50 @@ def untwisted_obstruction(nerve, g_edges, section, hat_mul, hat_inv, projection)
     out = {}
     for (i, j, k) in levels[2]:
         out[(i, j, k)] = hat_mul[hat_mul[lift(i, j)][lift(j, k)]][hat_inv[lift(i, k)]]
+    return out
+
+
+def _hand_edge(nerve, values, eps, group, sigma, i, j):
+    """(value, eps) on the ordered edge (i, j); for i > j the semidirect
+    inverse (sigma^eps(v^-1), eps) of the ascending value."""
+    if i == j:
+        return group.identity, 1
+    if i < j:
+        idx = nerve.index_of((i, j))
+        return values[idx], eps[idx]
+    idx = nerve.index_of((j, i))
+    vi = group.inv(values[idx])
+    return (sigma(vi) if eps[idx] == -1 else vi), eps[idx]
+
+
+def hand_written_cocycle_report(td):
+    """The first triangle failing (g_ij sigma^{eps_ij}(g_jk), eps_ij eps_jk)
+    = (g_ik, eps_ik), as (triangle, lhs, rhs); None when all hold."""
+    grp = td.group
+    for (i, j, k) in td.nerve.simplices[2]:
+        gij, eij = _hand_edge(td.nerve, td.g, td.eps, grp, td.sigma, i, j)
+        gjk, ejk = _hand_edge(td.nerve, td.g, td.eps, grp, td.sigma, j, k)
+        gik, eik = _hand_edge(td.nerve, td.g, td.eps, grp, td.sigma, i, k)
+        tw = td.sigma(gjk) if eij == -1 else gjk
+        lhs, rhs = (grp.mul(gij, tw), eij * ejk), (gik, eik)
+        if lhs != rhs:
+            return (i, j, k), lhs, rhs
+    return None
+
+
+def hand_written_obstruction(td, ext, lifts):
+    """a_ijk = ghat_ij sigmahat^{eps_ij}(ghat_jk) ghat_ik^-1 in the hat group
+    on every triangle, in triangle order."""
+    hat, nerve = ext.hat, td.nerve
+
+    def edge(i, j):
+        return _hand_edge(nerve, lifts.values, td.eps, hat, ext.sigma_hat, i, j)
+
+    out = []
+    for (i, j, k) in nerve.simplices[2]:
+        (gij, eij), (gjk, _), (gik, _) = edge(i, j), edge(j, k), edge(i, k)
+        tw = ext.sigma_hat(gjk) if eij == -1 else gjk
+        out.append(hat.mul(hat.mul(gij, tw), hat.inv(gik)))
     return out
 
 

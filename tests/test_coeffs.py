@@ -5,7 +5,7 @@ from gerbelab.coeffs import (Automorphism, CentralExtension, CoefficientGroup,
                              FiniteGroup, SemidirectElement,
                              cyclic_central_extension, semidirect_group,
                              semidirect_inv, semidirect_mul, verify_extension)
-from gerbelab.errors import NotEquivariant, UnsupportedCoefficient
+from gerbelab.errors import UnsupportedCoefficient
 
 
 def test_coefficient_kinds():
@@ -122,7 +122,6 @@ def test_associativity_randomized_beyond_exhaustive_range():
 def test_extension_z2_z4():
     ext = cyclic_central_extension(2, 2)
     assert verify_extension(ext).ok
-    ext.require_valid()
     assert ext.kernel_coefficients().describe() == "mod 2 involution=identity"
 
 
@@ -146,8 +145,6 @@ def test_mismatched_involutions_flagged():
     assert not report.ok and report.violation == "NotEquivariant"
     # witnessed by element 1: q(sigma_hat(1)) = 1 but sigma(q(1)) = 2
     assert 1 in report.witness or report.witness
-    with pytest.raises(NotEquivariant):
-        bad.require_valid()
 
 
 def test_centrality_of_kernel_after_verification():
@@ -177,6 +174,22 @@ def test_declared_kernel_must_match():
                               (0, 1))
     report = verify_extension(broken)
     assert not report.ok and report.violation == "NotHomomorphism"
+
+
+@pytest.mark.parametrize("kernel, witness, message", [
+    ((2, 0), (0,), "kernel[0] = 2 is not the identity"),
+    ((0, 4, 2, 6), (1, 1), "kernel[1]*kernel[1] != kernel[2]"),
+])
+def test_kernel_labelling_must_be_a_homomorphism(kernel, witness, message):
+    """kernel[v] must realize v: kernel[0] is the identity and kernel[v]
+    kernel[w] = kernel[(v + w) mod m], not only the right set."""
+    ext = cyclic_central_extension(len(kernel), 2)
+    assert verify_extension(ext).ok
+    relabelled = CentralExtension(ext.hat, ext.base, ext.projection,
+                                  ext.section, kernel)
+    report = verify_extension(relabelled)
+    assert not report.ok and report.violation == "NotHomomorphism"
+    assert report.witness == witness and report.message == message
 
 
 def test_exotic_kernel_involution_rejected():

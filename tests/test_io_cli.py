@@ -1,3 +1,4 @@
+import copy
 import json
 import shutil
 import subprocess
@@ -140,7 +141,7 @@ def test_bad_coefficient_tolerance_rejected(kind, tolerance):
         gio.parse_coefficients({"set": kind, "tolerance": tolerance})
 
 
-# --- strict integer fields and edge lists: a mutation sweep ----------------
+# --- strict number fields and edge lists: a mutation sweep -----------------
 
 TRANSITION_RUN = ["obstruction", "transition_rp2_z2.yaml", "extension_z2_z4.yaml",
                   "--lifts", "lifts_rp2.yaml"]
@@ -152,6 +153,7 @@ RUNS = {  # sample file -> a command that reads it
     "transition_rp2_z2.yaml": TRANSITION_RUN,
     "extension_z2_z4.yaml": TRANSITION_RUN,
     "lifts_rp2.yaml": TRANSITION_RUN,
+    "bundle_sphere_degree1.yaml": ["chern", "bundle_sphere_degree1.yaml"],
 }
 # (file, keys of an integer field, values below its least value)
 INTEGER_FIELDS = [
@@ -160,6 +162,35 @@ INTEGER_FIELDS = [
     ("transition_rp2_z2.yaml", ("group", "cyclic"), [0, -2]),
     ("extension_z2_z4.yaml", ("hat_group", "cyclic"), [0, -4]),
     ("extension_z2_z4.yaml", ("base_group", "cyclic"), [0, -2]),
+]
+# (file, keys of a number field, bad values): bundle scalars
+NUMBER_FIELDS = [
+    ("bundle_sphere_degree1.yaml", ("clutching",), [True, 1.9, "1"]),
+    ("bundle_sphere_degree1.yaml", ("resolution",), [True, 40.0, "40", 7, -1]),
+    *[("bundle_sphere_degree1.yaml", (key,), [True, "0.7", float("nan"), float("inf")])
+      for key in ("inner", "outer", "extent")],
+]
+CORRUPTION = {"chart": 0, "other": 1, "index": [50, 80], "factor": [1.5, 0]}
+# (file, field the message names, keys of the block, a valid block, the path
+# in it to one integer entry, bad values beyond bool, float and str: below 0,
+# or past the group for an extension map)
+INTEGER_ENTRIES = [
+    ("transition_rp2_z2.yaml", "group.table", ("group",),
+     {"table": [[0, 1], [1, 0]]}, ("table", 1, 0), []),
+    ("extension_z2_z4.yaml", "base_group.table", ("base_group",),
+     {"table": [[0, 1], [1, 0]]}, ("table", 0, 1), []),
+    ("transition_rp2_z2.yaml", "sigma.permutation", ("sigma",),
+     {"permutation": [0, 1]}, ("permutation", 1), []),
+    ("extension_z2_z4.yaml", "sigma_hat.permutation", ("sigma_hat",),
+     {"permutation": [0, 1, 2, 3]}, ("permutation", 2), []),
+    ("extension_z2_z4.yaml", "projection", ("projection",), [0, 1, 0, 1], (1,),
+     [-1, 2]),
+    ("extension_z2_z4.yaml", "section", ("section",), [0, 1], (1,), [-3, 4]),
+    ("extension_z2_z4.yaml", "kernel", ("kernel",), [0, 2], (1,), [-2, 4]),
+    *[("bundle_sphere_degree1.yaml", f"corruption.{key}", ("corruption",),
+       CORRUPTION, where, [-1]) for key, where in (("chart", ("chart",)),
+                                                  ("other", ("other",)),
+                                                  ("index", ("index", 0)))],
 ]
 # (file, edge list key, vertex count, values out of range, another valid value
 # for the first entry's edge)
@@ -176,6 +207,17 @@ def _set(keys, value):
         for key in outer:
             doc = doc[key]
         doc[last] = value
+    return mutate
+
+
+def _entry(keys, block, where, bad):
+    def mutate(doc):
+        value = copy.deepcopy(block)
+        inner = value
+        for step in where[:-1]:
+            inner = inner[step]
+        inner[where[-1]] = bad
+        _set(keys, value)(doc)
     return mutate
 
 
@@ -208,6 +250,15 @@ def _mutants():
         }
         for label, change in changes.items():
             yield name, key, label, _edges(key, change)
+    for name, keys, bad_values in NUMBER_FIELDS:
+        for bad in bad_values:
+            yield name, ".".join(keys), f"{bad!r}", _set(keys, bad)
+    for name, field, keys, block, where, more in INTEGER_ENTRIES:
+        good = block
+        for step in where:
+            good = good[step]
+        for bad in [True, float(good), str(good), *more]:
+            yield name, field, f"{bad!r}", _entry(keys, block, where, bad)
 
 
 MUTANTS = list(_mutants())
@@ -298,6 +349,22 @@ def test_cli_obstruction_trivial_case(tmp_path):
     assert proc.returncode == 0
     assert "class: TRIVIAL" in proc.stdout
     assert "lift-verified: yes" in proc.stdout
+
+
+def test_cli_obstruction_mislabelled_kernel_exits_3(tmp_path):
+    """kernel: [2, 0] is ker(q) as a set but labels 0 by a non-identity."""
+    nerve = "{vertices: 4, maximal: [[0,1,2],[0,1,3],[0,2,3],[1,2,3]]}"
+    transition = tmp_path / "transition_sphere.yaml"
+    transition.write_text("kind: transition\nformat: v1\n"
+                          f"nerve: {nerve}\ngroup: {{cyclic: 2}}\n")
+    extension = tmp_path / "extension.yaml"
+    extension.write_text((SAMPLES / "extension_z2_z4.yaml").read_text()
+                         .replace("kernel: [0, 2]", "kernel: [2, 0]"))
+    proc = run_cli("obstruction", str(transition), str(extension))
+    assert proc.returncode == 3
+    assert proc.stderr == ("invariant violation: extension invalid: NotHomomorphism "
+                           "kernel[0] = 2 is not the identity\n")
+    assert proc.stdout == ""
 
 
 def test_cli_obstruction_broken_cocycle_exits_3(tmp_path):

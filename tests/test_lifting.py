@@ -13,10 +13,12 @@ from gerbelab.lifting import (LiftChoice, TransitionData, change_lifts,
                               check_gerbe_module, check_twisted_cocycle,
                               lifts_via_section, obstruction, trivialize)
 from gerbelab.nerve import random_nerve
-from oracles import (coboundary_matrix, cup_product, gf2_rank, simplex_lists,
-                     untwisted_obstruction)
+from oracles import (coboundary_matrix, cup_product, gf2_rank,
+                     hand_written_cocycle_report, hand_written_obstruction,
+                     simplex_lists, untwisted_obstruction)
 
 Z2 = FiniteGroup.cyclic(2)
+Z3 = FiniteGroup.cyclic(3)
 MOD2 = CoefficientGroup.integers_mod(2)
 
 
@@ -117,10 +119,10 @@ def test_rp2_obstruction_is_bockstein_square():
     cls = result.class_result()
     assert not cls.trivial
     # values are the carries of mod-2 addition, normalized from {0, 2} in Z4
+    g = dict(zip(td.nerve.simplices[1], td.g))
     for t, v in zip(td.nerve.simplices[2], result.cochain.values):
         i, j, k = t
-        carry = (td.edge_value(i, j)[0] + td.edge_value(j, k)[0]
-                 - td.edge_value(i, k)[0]) // 2 % 2
+        carry = (g[(i, j)] + g[(j, k)] - g[(i, k)]) // 2 % 2
         assert v == carry
 
 
@@ -234,6 +236,96 @@ def test_untwisted_path_matches_independent_oracle():
                                    mul_table, inv_table, list(ext.projection))
     for t, v in zip(td.nerve.simplices[2], result.cochain.values):
         assert ext.kernel_value(oracle[t]) == v
+
+
+def test_lift_outside_the_hat_group_rejected():
+    td = rp2_transition()
+    ext = cyclic_central_extension(2, 2)
+    values = list(lifts_via_section(td, ext).values)
+    edge = td.g.index(1)
+    for bad in (-3, -1, 4, 5):  # -3 reads projection[1] = 1 = g without the check
+        values[edge] = bad
+        with pytest.raises(LiftMismatch, match="not an element of the hat group"):
+            obstruction(td, ext, LiftChoice(tuple(values)))
+
+
+@pytest.mark.parametrize("count", [2, 14, 16, 20])
+def test_transition_data_rejects_a_sign_list_of_the_wrong_length(count):
+    nerve = models.rp2_nerve()
+    assert nerve.count(1) == 15
+    with pytest.raises(ValueError, match="eps length"):
+        TransitionData(nerve, Z2, Automorphism.identity(Z2), [0] * 15, [1] * count)
+
+
+# --- the product rule against the hand-written reference -------------------
+
+def extension_cases():
+    """(name, extension, transition group, its action) for the four
+    extensions the reference comparison runs over."""
+    return [
+        ("z2-z4", cyclic_central_extension(2, 2), Z2, Automorphism.identity(Z2)),
+        ("z2-z4-twisted", cyclic_central_extension(2, 2, twist="negation"), Z2,
+         Automorphism.negation(Z2)),
+        ("z3-z9", cyclic_central_extension(3, 3, twist="negation"), Z3,
+         Automorphism.negation(Z3)),
+        ("split-z2xz2", split_extension_z2(), Z2, Automorphism.identity(Z2)),
+    ]
+
+
+def random_lifts(td, ext, rng):
+    """A random hat element over every edge value."""
+    fibres = {g: [h for h in range(ext.hat.order) if ext.q(h) == g]
+              for g in range(ext.base.order)}
+    return LiftChoice(tuple(int(rng.choice(fibres[g])) for g in td.g))
+
+
+@pytest.mark.parametrize("name, ext, group, sigma", extension_cases(),
+                         ids=[c[0] for c in extension_cases()])
+def test_obstruction_matches_the_hand_written_rule(name, ext, group, sigma):
+    """Values from semidirect_mul equal the old hand-written product bit for
+    bit, on random gauge transitions over random nerves and RP^2 x S^1."""
+    rng = np.random.default_rng(83)
+    nerves = [random_nerve(rng) for _ in range(12)] + [models.rp2_cross_circle()]
+    for nerve in nerves:
+        td = gauge_transition(nerve, group, sigma, rng)
+        for lifts in (lifts_via_section(td, ext), random_lifts(td, ext, rng)):
+            result = obstruction(td, ext, lifts)
+            expect = hand_written_obstruction(td, ext, lifts)
+            assert list(result.cochain.values) == [ext.kernel_value(h) for h in expect]
+            assert result.lifts == lifts
+
+
+@pytest.mark.parametrize("group, sigma", [(Z2, Automorphism.identity(Z2)),
+                                          (Z3, Automorphism.negation(Z3))],
+                         ids=["z2", "z3-negation"])
+def test_cocycle_reports_match_the_hand_written_rule(group, sigma):
+    """check_twisted_cocycle names the same first failing triangle, with the
+    same (g, eps) sides, as the hand-written rule, after one edge's value or
+    sign is changed."""
+    rng = np.random.default_rng(89)
+    nerves = [random_nerve(rng) for _ in range(20)] + [models.rp2_cross_circle()]
+    failures = 0
+    for nerve in nerves:
+        td = gauge_transition(nerve, group, sigma, rng)
+        assert check_twisted_cocycle(td).ok and hand_written_cocycle_report(td) is None
+        if not nerve.simplices[2]:
+            continue
+        g, eps = list(td.g), list(td.eps)
+        edge = int(rng.integers(len(g)))
+        if rng.integers(2):
+            g[edge] = (g[edge] + 1) % group.order
+        else:
+            eps[edge] = -eps[edge]
+        bad = TransitionData(nerve, group, sigma, g, eps)
+        report = check_twisted_cocycle(bad)
+        expect = hand_written_cocycle_report(bad)
+        if expect is None:
+            assert report.ok
+            continue
+        failures += 1
+        assert not report.ok
+        assert (report.triangle, report.lhs, report.rhs) == expect
+    assert failures >= 10
 
 
 # --- change_lifts ----------------------------------------------------------
