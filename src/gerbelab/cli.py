@@ -77,7 +77,7 @@ def cmd_cohomology(args):
 
 def _class_order(result):
     """Order of the obstruction class in twisted H^2 over the cyclic kernel,
-    for a class that class_result has already found not trivial (m = 1)."""
+    for a class that trivialize has already found not trivial (m = 1)."""
     from . import cech
     sys_ = result.system
     for m in range(2, result.ext.kernel_order + 1):
@@ -94,34 +94,28 @@ def cmd_obstruction(args):
     _input_line(report, "extension", args.extension)
     td = io.parse_transition(args.transition)
     ext = io.parse_extension(args.extension)
-    ext_report = verify_extension(ext)
-    if not ext_report.ok:
-        raise GerbeError(f"extension invalid: {ext_report.violation} "
-                         f"{ext_report.message}")
-    cocycle_report = lifting.check_twisted_cocycle(td)
-    if not cocycle_report.ok:
-        raise GerbeError(cocycle_report.message())
     lifts = None
     if args.lifts:
         _input_line(report, "lifts", args.lifts)
         lifts = io.parse_lifts(args.lifts, td.nerve, ext.hat)
+    ext_report = verify_extension(ext)
+    if not ext_report.ok:
+        raise GerbeError(f"extension invalid: {ext_report.violation} "
+                         f"{ext_report.message}")
     result = lifting.obstruction(td, ext, lifts)
-    triangles = td.nerve.simplices[2]
-    report.add("kernel", ext.kernel_coefficients().describe())
+    report.add("kernel", result.system.coeff.describe())
     report.add("cocycle", " ".join(
-        f"{t}={v}" for t, v in zip(triangles, result.cochain.values)))
-    cls = result.class_result()
-    if cls.trivial:
+        f"{t}={v}" for t, v in zip(td.nerve.simplices[2], result.cochain.values)))
+    fixed = lifting.trivialize(result)
+    if fixed.trivial:
         report.add("class", "TRIVIAL")
-        fixed = lifting.trivialize(result)
         report.add("lift", " ".join(
             f"{e}={v}" for e, v in zip(td.nerve.simplices[1], fixed.lifts.values)))
-        # trivialize raises unless the corrected lifts' obstruction is 0
+        # trivialize raises unless the corrected lifts satisfy the strict law
         report.add("lift-verified", True)
     else:
-        order = _class_order(result)
-        report.add("class", f"NONTRIVIAL (order {order})")
-        cert = cls.certificate
+        report.add("class", f"NONTRIVIAL (order {_class_order(result)})")
+        cert = fixed.certificate
         report.add("certificate-functional", " ".join(map(str, cert.functional)))
         report.add("certificate-modulus", cert.modulus)
         report.add("certificate-pairing", cert.pairing)

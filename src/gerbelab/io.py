@@ -6,12 +6,14 @@ naming its nerve by path) resolve relative to the referring file.  The
 exact grammars are documented in docs/formats.md with one committed
 example per kind under sample_inputs/.
 
-Numeric fields are strict: an integer field or list entry (orders, group
-tables, permutations, extension maps, bundle clutching, resolution and
-corruption indices) must be a YAML int, and a real field (bundle inner,
-outer, extent) a finite int or float.  A bool, a string, or a float where
-an int belongs is bad input, never coerced.  Loading this module loads
-PyYAML and ``errors`` only; each parser imports the layer it builds.
+Numeric fields are strict: an integer field or list entry (orders, nerve
+vertices, group tables, permutations, extension maps, bundle clutching,
+resolution and corruption indices) must be a YAML int, a real field
+(coefficient tolerance, bundle inner, outer, extent, loop matrix entries,
+a corruption factor) a finite int or float, and a loop's ``skew`` a YAML
+bool.  A bool, a string, or a float where an int belongs is bad input,
+never coerced.  Loading this module loads PyYAML and ``errors`` only; each
+parser imports the layer it builds.
 """
 
 import hashlib
@@ -83,12 +85,22 @@ def _integer_list(value, what, path, size=None):
     return value
 
 
-def _finite_real(value, what, path):
-    """``value`` as a float if it is a finite int or float, not a bool."""
-    if type(value) not in (int, float) or not isfinite(value):
+def _finite_real(value, what, path, least=None):
+    """``value`` as a float if it is a finite int or float, not a bool, and
+    at least ``least``."""
+    if (type(value) not in (int, float) or not isfinite(value)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
         raise ProblemFileError(
-            f"{path}: {what} must be a finite real number, got {value!r}")
+            f"{path}: {what} must be a finite real number{bound}, got {value!r}")
     return float(value)
+
+
+def _complex(value, what, path):
+    """A finite real, or a ``[re, im]`` pair of them, as a complex."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(*(_finite_real(x, what, path) for x in value))
+    return complex(_finite_real(value, what, path))
 
 
 def parse_nerve(doc, path="<inline>"):
@@ -97,6 +109,8 @@ def parse_nerve(doc, path="<inline>"):
     maximal = _need(doc, "maximal", path)
     if not isinstance(maximal, list):
         raise ProblemFileError(f"{path}: maximal must be a list of simplices")
+    for simplex in maximal:
+        _integer_list(simplex, "maximal simplex", path, vertices)
     try:
         return build_nerve(maximal, vertex_count=vertices)
     except Exception as exc:
@@ -120,7 +134,8 @@ def parse_coefficients(doc, path="<inline>"):
     from .coeffs import CoefficientGroup
     kind = doc.get("set", "integers")
     involution = doc.get("involution", "identity")
-    tolerance = doc.get("tolerance", 1e-9)
+    tolerance = _finite_real(doc.get("tolerance", 1e-9), "coefficients.tolerance",
+                             path, least=0)
     if kind == "mod":
         modulus = _integer(_need(doc, "modulus", path), "coefficients.modulus",
                            path, least=1)
@@ -181,10 +196,7 @@ def parse_system(path):
     nerve = _resolve_nerve(doc, path)
     coeff = parse_coefficients(doc.get("coefficients", {}), path)
     twist = _parse_edge_list(doc.get("twist"), "twist", path, nerve, SIGNS)
-    try:
-        return TwistedLocalSystem(nerve, coeff, twist)
-    except Exception as exc:
-        raise ProblemFileError(f"{path}: bad system: {exc}") from exc
+    return TwistedLocalSystem(nerve, coeff, twist)
 
 
 def parse_group(doc, path, what):
@@ -287,22 +299,26 @@ def parse_loop(path):
         if len(flat) != size * size:
             raise ProblemFileError(
                 f"{path}: mode {m} needs {size * size} entries, got {len(flat)}")
-        try:
-            vals = [complex(float(re), float(im)) for re, im in flat]
-        except (TypeError, ValueError) as exc:
-            raise ProblemFileError(
-                f"{path}: matrix entries are [re, im] pairs: {exc}") from exc
+        for pair in flat:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ProblemFileError(
+                    f"{path}: matrix entries are [re, im] pairs, got {pair!r}")
+        vals = [_complex(pair, f"matrix entry of mode {m}", path) for pair in flat]
         coeffs[m] = np.array(vals, dtype=complex).reshape(size, size)
+    skew = doc.get("skew", False)
+    if type(skew) is not bool:
+        raise ProblemFileError(f"{path}: skew must be true or false, got {skew!r}")
     try:
-        return LoopPolynomial(size, coeffs, skew=bool(doc.get("skew", False)))
+        return LoopPolynomial(size, coeffs, skew=skew)
     except Exception as exc:
         raise ProblemFileError(f"{path}: bad loop: {exc}") from exc
 
 
 def parse_bundle(path, resolution=None):
     """Returns (build, options): ``build(resolution=None)`` makes the
-    BundleData, and options hold the resolution and corruption info.  A
-    given ``resolution`` replaces the file's and meets the same bound."""
+    BundleData, and options hold the clutching, resolution and annulus.  A
+    given ``resolution`` replaces the file's and meets the same bound; a
+    corruption index must lie inside that grid."""
     from .connection import two_chart_sphere
     doc = load_document(path)
     if doc["kind"] != "bundle":
@@ -327,22 +343,28 @@ def parse_bundle(path, resolution=None):
                 f"{path}: corruption needs keys {sorted(need)}")
         for key in ("chart", "other"):
             _integer(corruption[key], f"corruption.{key}", path, least=0)
-        for x in _integer_list(corruption["index"], "corruption.index", path):
-            _integer(x, "corruption.index", path, least=0)
-        options["corruption"] = corruption
+        if {corruption["chart"], corruption["other"]} != {0, 1}:
+            raise ProblemFileError(
+                f"{path}: corruption.chart and corruption.other must be the "
+                f"charts 0 and 1, got {corruption['chart']} and {corruption['other']}")
+        index = _integer_list(corruption["index"], "corruption.index", path,
+                              resolution)
+        if len(index) != 2:
+            raise ProblemFileError(
+                f"{path}: corruption.index must be [row, column], got {index!r}")
+        corruption = (corruption["chart"], corruption["other"], tuple(index),
+                      _complex(corruption["factor"], "corruption.factor", path))
 
     def build(resolution=None):
+        """The bundle on a resolution^2 grid; the corruption applies only
+        to the grid the file or the override names."""
         if resolution is None:
             resolution = options["resolution"]
         data = two_chart_sphere(options["clutching"], resolution=resolution,
                                 inner=options["inner"], outer=options["outer"],
                                 extent=options["extent"])
-        if corruption is not None:
-            factor = corruption["factor"]
-            factor = complex(factor[0], factor[1]) if isinstance(factor, list) \
-                else complex(factor)
-            data.corrupt_sample(corruption["chart"], corruption["other"],
-                                tuple(corruption["index"]), factor)
+        if corruption is not None and resolution == options["resolution"]:
+            data.corrupt_sample(*corruption)
         return data
 
     return build, options

@@ -11,9 +11,11 @@ lifted cocycle condition
 
 lands in the central kernel and is a twisted 2-cocycle there.  Its class
 does not depend on the lifts, and vanishes exactly when corrected lifts
-satisfying the strict cocycle condition exist.  Every product in G x| Z2
-and in hat x| Z2 is coeffs.semidirect_mul; nerve simplices are increasing
-tuples, so only ascending edges are ever read.
+satisfying the strict cocycle condition exist: one solve of d b = a
+(ObstructionResult.class_result) decides it, and trivialize builds the
+corrected lifts kernel(-b_ij) . ghat_ij from that same solve.  Every
+product in G x| Z2 and in hat x| Z2 is coeffs.semidirect_mul; nerve
+simplices are increasing tuples, so only ascending edges are ever read.
 """
 
 from dataclasses import dataclass
@@ -183,25 +185,23 @@ class TrivializeResult:
 def trivialize(result):
     """Correct the stored lifts when the obstruction class vanishes.
 
-    Solves d b = -a in the kernel coefficients, sets ghat'_ij =
-    kernel(b_ij) . ghat_ij, re-verifies the strict twisted cocycle
-    condition exactly, and returns the corrected lifts; otherwise returns
-    the nontriviality certificate.
+    Reads the one solve of d b = a, result.class_result().  When b exists,
+    sets ghat'_ij = kernel(-b_ij) . ghat_ij, checks exactly that
+    q(ghat'_ij) = g_ij on every edge and xhat'_ij xhat'_jk = xhat'_ik
+    under sigmahat on every triangle, and returns the corrected lifts;
+    otherwise returns the solve's certificate, which pairs with a.
     """
-    sys = result.system
-    solved = cech.is_coboundary(cech.cochain_neg(sys, result.cochain), sys)
+    solved = result.class_result()
     if not solved.trivial:
         return TrivializeResult(None, solved.certificate)
-    b = solved.primitive
-    ext, hat = result.ext, result.ext.hat
-    corrected = tuple(
-        hat.mul(ext.kernel_element(b.values[idx]), result.lifts.values[idx])
-        for idx in range(len(result.lifts.values)))
-    new = LiftChoice(corrected)
-    check = obstruction(result.td, ext, new)
-    if any(v != 0 for v in check.cochain.values):
+    ext, td = result.ext, result.td
+    corrected = tuple(ext.hat.mul(ext.kernel_element(-v), h)
+                      for v, h in zip(solved.primitive.values, result.lifts.values))
+    if (any(ext.q(h) != g for h, g in zip(corrected, td.g))
+            or any(lhs != rhs for _, lhs, rhs in _triangle_products(
+                td.nerve, corrected, td.eps, ext.sigma_hat))):
         raise AssertionError("corrected lifts fail the strict cocycle condition")
-    return TrivializeResult(new, None)
+    return TrivializeResult(LiftChoice(corrected), None)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ untwisted lifting obstruction from a from-scratch formula, cup products from
 the Alexander-Whitney front-face/back-face rule, the twisted transition
 cocycle check and lifting obstruction with the semidirect product written
 out by hand (the bit-for-bit reference for lifting, which reads
-coeffs.semidirect_mul), and the connection
-pipeline (pullback connection, curvature, gauge residual, Chern number)
-on full grids, with matrix products and the curvature bracket at every
-rank and a separate bilinear interpolation of each form.
+coeffs.semidirect_mul), trivialization by a second solve of d b' = -a
+checked by a second obstruction (the bit-for-bit reference for
+lifting.trivialize, which negates the one solve of d b = a), and the
+connection pipeline (pullback connection, curvature, gauge residual, Chern
+number) on full grids, with matrix products and the curvature bracket at
+every rank and a separate bilinear interpolation of each form.
 """
 
 from itertools import combinations
@@ -24,7 +26,8 @@ import numpy as np
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from gerbelab.cech import Cochain, zero_cochain
+from gerbelab import lifting
+from gerbelab.cech import Cochain, cochain_neg, is_coboundary, zero_cochain
 from gerbelab.errors import DegreeOverflow
 from gerbelab.nerve import MAX_DIM, faces
 
@@ -274,6 +277,23 @@ def hand_written_obstruction(td, ext, lifts):
         tw = ext.sigma_hat(gjk) if eij == -1 else gjk
         out.append(hat.mul(hat.mul(gij, tw), hat.inv(gik)))
     return out
+
+
+def negated_solve_trivialize(result):
+    """(corrected lift values, certificate) for an ObstructionResult: solve
+    d b' = -a, set ghat'_ij = kernel(b'_ij) . ghat_ij, and require the
+    obstruction of the new lifts to vanish; (None, certificate) when -a is
+    not a coboundary."""
+    sys_, ext = result.system, result.ext
+    solved = is_coboundary(cochain_neg(sys_, result.cochain), sys_)
+    if not solved.trivial:
+        return None, solved.certificate
+    corrected = tuple(ext.hat.mul(ext.kernel_element(v), h)
+                      for v, h in zip(solved.primitive.values, result.lifts.values))
+    check = lifting.obstruction(result.td, ext, lifting.LiftChoice(corrected))
+    if any(v != 0 for v in check.cochain.values):
+        raise AssertionError("corrected lifts fail the strict cocycle condition")
+    return corrected, None
 
 
 def cup_product(nerve, p, a, q, b):

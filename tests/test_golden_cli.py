@@ -27,6 +27,8 @@ REGEN = os.environ.get("GERBELAB_REGEN_GOLDEN") == "1"
 S = "sample_inputs/"
 LOOPS = [S + "loop_single_mode.yaml", S + "loop_single_mode_inverse.yaml"]
 OBSTRUCTION = ["obstruction", S + "transition_rp2_z2.yaml", S + "extension_z2_z4.yaml"]
+TWISTED = ["obstruction", S + "transition_rp2_twisted.yaml",
+           S + "extension_z2_z4_twisted.yaml", "--lifts", S + "lifts_rp2_twisted.yaml"]
 
 COMMANDS = {
     **{f"cohomology-mobius-{k}": ["cohomology", S + "system_circle_mobius.yaml",
@@ -36,6 +38,7 @@ COMMANDS = {
     "cohomology-nerve-file": ["cohomology", S + "nerve_rp2.yaml", "--degree", "1"],
     "obstruction": OBSTRUCTION,
     "obstruction-lifts": OBSTRUCTION + ["--lifts", S + "lifts_rp2.yaml"],
+    "obstruction-twisted-lifts": TWISTED,
     **{f"schwinger-{mode}": ["schwinger", *LOOPS, "--mode", mode]
        for mode in ("trace", "residue", "curvature")},
     "schwinger-defect": ["schwinger", LOOPS[0], "--mode", "defect"],

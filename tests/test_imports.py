@@ -109,7 +109,7 @@ def test_importing_the_package_and_cli_loads_no_numpy():
 def test_exact_commands_load_no_numpy_and_match_golden():
     cases = {name: argv for name, argv in CASES
              if name.startswith(("cohomology", "obstruction"))}
-    assert len(cases) == 18
+    assert len(cases) == 20
     out = run_python(
         "import contextlib, io, json, sys\n"
         "from gerbelab import cli\n"

@@ -14,6 +14,7 @@ from gerbelab import io as gio
 from gerbelab.errors import GridTooCoarse, ProblemFileError
 
 SAMPLES = Path(__file__).parent.parent / "sample_inputs"
+NAN, INF = float("nan"), float("inf")
 
 
 def run_cli(*args):
@@ -154,6 +155,7 @@ RUNS = {  # sample file -> a command that reads it
     "extension_z2_z4.yaml": TRANSITION_RUN,
     "lifts_rp2.yaml": TRANSITION_RUN,
     "bundle_sphere_degree1.yaml": ["chern", "bundle_sphere_degree1.yaml"],
+    "loop_single_mode.yaml": ["schwinger", "loop_single_mode.yaml", "--mode", "defect"],
 }
 # (file, keys of an integer field, values below its least value)
 INTEGER_FIELDS = [
@@ -163,14 +165,19 @@ INTEGER_FIELDS = [
     ("extension_z2_z4.yaml", ("hat_group", "cyclic"), [0, -4]),
     ("extension_z2_z4.yaml", ("base_group", "cyclic"), [0, -2]),
 ]
-# (file, keys of a number field, bad values): bundle scalars
+# (file, keys of a scalar field, bad values): bundle numbers and a loop's skew
 NUMBER_FIELDS = [
     ("bundle_sphere_degree1.yaml", ("clutching",), [True, 1.9, "1"]),
     ("bundle_sphere_degree1.yaml", ("resolution",), [True, 40.0, "40", 7, -1]),
     *[("bundle_sphere_degree1.yaml", (key,), [True, "0.7", float("nan"), float("inf")])
       for key in ("inner", "outer", "extent")],
+    ("loop_single_mode.yaml", ("skew",), ["no", "true", 1, 0, None]),
 ]
 CORRUPTION = {"chart": 0, "other": 1, "index": [50, 80], "factor": [1.5, 0]}
+RP2_MAXIMAL = yaml.safe_load((SAMPLES / "nerve_rp2.yaml").read_text())["maximal"]
+LOOP_COEFFICIENTS = yaml.safe_load(
+    (SAMPLES / "loop_single_mode.yaml").read_text())["coefficients"]
+REALS = {"set": "reals", "involution": "negation", "tolerance": 1e-9}
 # (file, field the message names, keys of the block, a valid block, the path
 # in it to one integer entry, bad values beyond bool, float and str: below 0,
 # or past the group for an extension map)
@@ -187,10 +194,29 @@ INTEGER_ENTRIES = [
      [-1, 2]),
     ("extension_z2_z4.yaml", "section", ("section",), [0, 1], (1,), [-3, 4]),
     ("extension_z2_z4.yaml", "kernel", ("kernel",), [0, 2], (1,), [-2, 4]),
+    ("nerve_rp2.yaml", "maximal", ("maximal",), RP2_MAXIMAL, (1, 2), [-1, 6]),
     *[("bundle_sphere_degree1.yaml", f"corruption.{key}", ("corruption",),
        CORRUPTION, where, [-1]) for key, where in (("chart", ("chart",)),
                                                   ("other", ("other",)),
                                                   ("index", ("index", 0)))],
+]
+# (file, field the message names, keys of the block, a valid block, the path
+# in it to one entry, bad values for that entry)
+BAD_ENTRIES = [
+    ("nerve_rp2.yaml", "maximal", ("maximal",), RP2_MAXIMAL, (0,),
+     [5, "0 1 2", None]),
+    ("system_circle_mobius.yaml", "coefficients.tolerance", ("coefficients",),
+     REALS, ("tolerance",), [True, "0.1", NAN, INF, -1]),
+    ("loop_single_mode.yaml", "matrix", ("coefficients",), LOOP_COEFFICIENTS,
+     (0, "matrix", 0, 0), [True, "1.5", NAN, INF]),
+    ("loop_single_mode.yaml", "matrix", ("coefficients",), LOOP_COEFFICIENTS,
+     (0, "matrix", 1), [1, [1], [1, 0, 0], "1, 0", ["1.5", True]]),
+    ("bundle_sphere_degree1.yaml", "corruption.index", ("corruption",), CORRUPTION,
+     ("index",), [[10], [10, 30, 5], [], [400, 0], [0, 400], "10, 30"]),
+    ("bundle_sphere_degree1.yaml", "corruption.factor", ("corruption",), CORRUPTION,
+     ("factor",), [True, "1.5", [1, "0"], [NAN, 0], INF, [1, 2, 3], [True, 0]]),
+    *[("bundle_sphere_degree1.yaml", "corruption.chart", ("corruption",), CORRUPTION,
+       (key,), bad) for key, bad in (("chart", [1, 2]), ("other", [0, 5]))],
 ]
 # (file, edge list key, vertex count, values out of range, another valid value
 # for the first entry's edge)
@@ -259,6 +285,9 @@ def _mutants():
             good = good[step]
         for bad in [True, float(good), str(good), *more]:
             yield name, field, f"{bad!r}", _entry(keys, block, where, bad)
+    for name, field, keys, block, where, bad_values in BAD_ENTRIES:
+        for bad in bad_values:
+            yield name, field, f"{where[-1]}={bad!r}", _entry(keys, block, where, bad)
 
 
 MUTANTS = list(_mutants())
@@ -379,6 +408,96 @@ def test_cli_obstruction_broken_cocycle_exits_3(tmp_path):
     assert "triangle" in proc.stderr
 
 
+TWISTED = [str(SAMPLES / "transition_rp2_twisted.yaml"),
+           str(SAMPLES / "extension_z2_z4_twisted.yaml"),
+           "--lifts", str(SAMPLES / "lifts_rp2_twisted.yaml")]
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (TWISTED, 1),
+    ([str(SAMPLES / "transition_rp2_z2.yaml"), str(SAMPLES / "extension_z2_z4.yaml")], 2),
+], ids=["trivial-twisted", "nontrivial-order-2"])
+def test_cli_obstruction_computes_each_object_once(monkeypatch, capsys, argv, solves):
+    """One transition check, one obstruction cochain and one kernel system
+    per run; one solve decides the class, and _class_order adds one solve
+    per multiple only for a non-trivial class."""
+    from gerbelab import cech, lifting
+    counts = {name: count_calls(monkeypatch, module, name)
+              for module, name in ((lifting, "check_twisted_cocycle"),
+                                   (lifting, "obstruction"),
+                                   (lifting, "TwistedLocalSystem"),
+                                   (cech, "is_coboundary"))}
+    assert cli.main(["obstruction", *argv]) == 0
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "check_twisted_cocycle": 1, "obstruction": 1, "TwistedLocalSystem": 1,
+        "is_coboundary": solves}
+    assert ("class: TRIVIAL" in capsys.readouterr().out) == (solves == 1)
+
+
+@pytest.mark.parametrize("broken", ["transition", "extension"])
+def test_cli_obstruction_reads_every_file_before_any_law(tmp_path, capsys, broken):
+    """A malformed lifts file exits 2, naming itself, even when the
+    transition or the extension breaks a law (exit 3 on its own)."""
+    nerve = "{vertices: 3, maximal: [[0,1,2]]}"
+    transition = tmp_path / "transition.yaml"
+    transition.write_text("kind: transition\nformat: v1\n"
+                          f"nerve: {nerve}\ngroup: {{cyclic: 2}}\n"
+                          + ("edges:\n  - [0, 1, 1]\n" if broken == "transition" else ""))
+    extension = tmp_path / "extension.yaml"
+    text = (SAMPLES / "extension_z2_z4.yaml").read_text()
+    extension.write_text(text.replace("kernel: [0, 2]", "kernel: [2, 0]")
+                         if broken == "extension" else text)
+    lifts = tmp_path / "lifts.yaml"
+    lifts.write_text("kind: lifts\nformat: v1\nedges:\n  - [0, 1, 1]\n")
+    argv = ["obstruction", str(transition), str(extension)]
+    assert cli.main(argv) == 3
+    capsys.readouterr()
+    assert cli.main(argv + ["--lifts", str(lifts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {lifts}: lifts missing for edges [(0, 2), (1, 2)]\n"
+    assert captured.out == ""
+
+
+def test_cli_obstruction_self_check_runs_under_optimize():
+    """A wrong kernel element makes trivialize's self-check raise, also
+    under -O, which strips assert statements."""
+    script = ("import sys\n"
+              "from gerbelab import cli, coeffs\n"
+              "coeffs.CentralExtension.kernel_element = "
+              "lambda self, v: self.kernel[(v + 1) % self.kernel_order]\n"
+              f"sys.exit(cli.main(['obstruction', *{TWISTED!r}]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: AssertionError: corrected lifts fail the "
+                           "strict cocycle condition\n")
+    assert proc.stdout == ""
+
+
+def test_cli_system_twist_breaking_the_triangle_law_exits_3(tmp_path):
+    path = tmp_path / "system.yaml"
+    path.write_text("kind: system\nformat: v1\n"
+                    "nerve: {vertices: 3, maximal: [[0, 1, 2]]}\n"
+                    "twist:\n  - [0, 2, -1]\n")
+    proc = run_cli("cohomology", str(path), "--degree", "1")
+    assert proc.returncode == 3
+    assert proc.stderr == ("invariant violation: eps fails the cocycle law "
+                           "on triangle (0, 1, 2)\n")
+    assert proc.stdout == ""
+
+
 def test_cli_schwinger_trace_sample_loops():
     proc = run_cli("schwinger", str(SAMPLES / "loop_single_mode.yaml"),
                    str(SAMPLES / "loop_single_mode_inverse.yaml"),
@@ -490,6 +609,43 @@ def test_cli_chern_corrupted_exits_3(tmp_path):
     proc = run_cli("chern", str(path))
     assert proc.returncode == 3
     assert "cocycle-location" in proc.stdout
+
+
+def write_bundle(path, corruption=""):
+    path.write_text("kind: bundle\nformat: v1\nmodel: two-chart-sphere\n"
+                    "clutching: 1\nresolution: 40\n" + corruption)
+    return str(path)
+
+
+def report_lines(capsys):
+    return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("grid", [None, "60"])
+def test_cli_chern_corruption_stays_on_the_named_grid(tmp_path, capsys, grid):
+    """A corruption small enough to pass the cocycle check changes the
+    named grid only: the coarse grid's gauge residual is the clean one's."""
+    option = [] if grid is None else ["--grid", grid]
+    clean = write_bundle(tmp_path / "clean.yaml")
+    dirty = write_bundle(tmp_path / "dirty.yaml", "corruption: {chart: 0, other: 1, "
+                         "index: [10, 30], factor: 1.0000001}\n")
+    assert cli.main(["chern", clean, *option]) == 0
+    want = report_lines(capsys)
+    assert cli.main(["chern", dirty, *option]) == 0
+    got = report_lines(capsys)
+    res = 40 if grid is None else 60
+    assert got[f"gauge-residual-{res // 2}"] == want[f"gauge-residual-{res // 2}"]
+    assert float(got["cocycle-residual"]) > float(want["cocycle-residual"])
+
+
+def test_cli_chern_corruption_index_must_lie_in_the_grid_override(tmp_path, capsys):
+    path = write_bundle(tmp_path / "bundle.yaml", "corruption: {chart: 0, other: 1, "
+                        "index: [10, 30], factor: 1.5}\n")
+    assert cli.main(["chern", path, "--grid", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: corruption.index must be a list of "
+                            "integers in 0..19, got [10, 30]\n")
+    assert captured.out == ""
 
 
 def test_cli_parse_error_exits_2(tmp_path):

@@ -15,7 +15,8 @@ from gerbelab.lifting import (LiftChoice, TransitionData, change_lifts,
 from gerbelab.nerve import random_nerve
 from oracles import (coboundary_matrix, cup_product, gf2_rank,
                      hand_written_cocycle_report, hand_written_obstruction,
-                     simplex_lists, untwisted_obstruction)
+                     negated_solve_trivialize, simplex_lists,
+                     untwisted_obstruction)
 
 Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
@@ -326,6 +327,67 @@ def test_cocycle_reports_match_the_hand_written_rule(group, sigma):
         assert not report.ok
         assert (report.triangle, report.lhs, report.rhs) == expect
     assert failures >= 10
+
+
+# --- trivialize against the negated-solve route ---------------------------
+
+@pytest.mark.parametrize("name, ext, group, sigma", extension_cases(),
+                         ids=[c[0] for c in extension_cases()])
+def test_trivialize_matches_the_negated_solve_route(name, ext, group, sigma):
+    """The one solve of d b = a, negated, corrects the lifts bit for bit as
+    a second solve of d b' = -a did, on random gauge transitions with
+    random kernel noise over random nerves and RP^2 x S^1."""
+    rng = np.random.default_rng(97)
+    nerves = [random_nerve(rng) for _ in range(12)] + [models.rp2_cross_circle()]
+    for nerve in nerves:
+        td = gauge_transition(nerve, group, sigma, rng)
+        for lifts in (lifts_via_section(td, ext), random_lifts(td, ext, rng)):
+            result = obstruction(td, ext, lifts)
+            fixed = trivialize(result)
+            assert fixed.trivial
+            assert fixed.lifts.values == negated_solve_trivialize(result)[0]
+            assert fixed.certificate == result.class_result().certificate
+
+
+def generator_cases():
+    """(transition, extension, trivial) for the RP^2 generator c on RP^2 and
+    RP^2 x S^1: untwisted (a non-trivial class) and twisted by w1 = c."""
+    out = []
+    for nerve, project in ((models.rp2_nerve(), lambda x: x),
+                           (models.rp2_cross_circle(), lambda x: x // 3)):
+        c = rp2_generator_on(nerve, project)
+        out.append((TransitionData(nerve, Z2, Automorphism.identity(Z2), c),
+                    cyclic_central_extension(2, 2), False))
+        out.append((TransitionData(nerve, Z2, Automorphism.negation(Z2), c,
+                                   {e: -1 for e, v in c.items() if v}),
+                    cyclic_central_extension(2, 2, twist="negation"), True))
+    return out
+
+
+def test_trivialize_matches_the_negated_solve_route_on_the_generator():
+    rng = np.random.default_rng(101)
+    for td, ext, trivial in generator_cases():
+        for lifts in (lifts_via_section(td, ext), random_lifts(td, ext, rng)):
+            result = obstruction(td, ext, lifts)
+            fixed = trivialize(result)
+            assert fixed.trivial == trivial
+            expect = negated_solve_trivialize(result)[0]
+            assert (fixed.lifts.values if trivial else None) == expect
+            assert fixed.certificate == result.class_result().certificate
+            assert (fixed.certificate is None) == trivial
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda self, v: self.kernel[(v + 1) % self.kernel_order],
+    lambda self, v: 1,
+], ids=["shifted-kernel-element", "outside-the-kernel"])
+def test_trivialize_self_check_catches_a_wrong_correction(monkeypatch, wrong):
+    td, ext, _ = generator_cases()[1]
+    result = obstruction(td, ext, random_lifts(td, ext, np.random.default_rng(3)))
+    assert trivialize(result).trivial
+    monkeypatch.setattr(CentralExtension, "kernel_element", wrong)
+    with pytest.raises(AssertionError, match="strict cocycle condition"):
+        trivialize(result)
 
 
 # --- change_lifts ----------------------------------------------------------
