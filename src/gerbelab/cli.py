@@ -244,8 +244,9 @@ def cmd_chern(args):
         raise GerbeError(
             f"transition cocycle residual {tres} above {args.tolerance} at {where}")
     res = options["resolution"]
-    coarse = build(resolution=res // 2)
-    report.add(f"gauge-residual-{res // 2}", connection.gauge_residual(coarse, 0, 1))
+    # the coarse bundle serves one residual and is freed before the fine forms
+    report.add(f"gauge-residual-{res // 2}",
+               connection.gauge_residual(build(resolution=res // 2), 0, 1))
     forms = [connection.chart_forms(data, k) for k in (0, 1)]
     report.add(f"gauge-residual-{res}", connection.gauge_residual(data, 0, 1, forms))
     value = connection.chern_number(data, forms)

@@ -21,6 +21,12 @@ through one shared bilinear stencil.  A_k, F_k and the Chern sum are
 full-grid by nature; gauge_residual reads h_lk, A_l and F_l at the
 overlap points only, and only its overlap mask and the forms it is not
 given are computed on full grids.
+
+A bundle stores only the samples it cannot get for free.  Chart grids are
+read-only broadcast views of the node vectors, and the identity samples
+h_kk one read-only broadcast view of the N x N identity: neither takes
+memory, and writing to either raises ValueError.  ``corrupt_sample``
+replaces a stored sample by a writable, perturbed copy.
 """
 
 from dataclasses import dataclass
@@ -32,7 +38,12 @@ from .errors import (GridTooCoarse, NoOverlap, NotClosedSurface,
 
 
 class Chart:
-    """A rectangular grid in 1 or 2 parameters."""
+    """A rectangular grid in 1 or 2 parameters.
+
+    ``grid`` holds, per axis, the coordinate of every grid point, indexed
+    like ``np.meshgrid(*nodes, indexing="ij")``; each entry is a read-only
+    broadcast view of that axis's node vector, so writing to it raises.
+    """
 
     __slots__ = ("name", "axes", "nodes", "spacing", "grid")
 
@@ -49,7 +60,9 @@ class Chart:
             spacing.append((hi - lo) / (n - 1))
         self.nodes = tuple(nodes)
         self.spacing = tuple(spacing)
-        self.grid = np.meshgrid(*nodes, indexing="ij")
+        self.grid = tuple(
+            np.broadcast_to(x.reshape((-1,) + (1,) * (len(nodes) - 1 - a)),
+                            self.shape) for a, x in enumerate(nodes))
 
     @property
     def dims(self):
@@ -100,8 +113,9 @@ class BundleData:
     (returning shape grid + (N, N)); the diagonal h_kk is implicitly the
     identity.  ``partitions[(i, k)]`` evaluates lambda_i on chart-k
     coordinates.  Samples on the chart grids are computed once and cached;
-    ``corrupt_sample`` perturbs a single stored transition value, which is
-    how detection tests break the cocycle on purpose.
+    ``corrupt_sample`` perturbs a single stored transition value, in a
+    writable copy of the samples, which is how detection tests break the
+    cocycle on purpose.
     """
 
     def __init__(self, base, size, transitions, partitions, name="bundle"):
@@ -122,13 +136,16 @@ class BundleData:
         return self._partition_samples[key]
 
     def transition_values(self, k, i):
+        """Samples grid + (N, N) of h_ki on chart k's grid, cached.  The
+        identity samples h_kk are a read-only broadcast view of one N x N
+        identity, so writing to them raises; ``corrupt_sample`` copies."""
         key = (k, i)
         if key not in self._transition_samples:
             chart = self.base.charts[k]
             if k == i:
-                eye = np.broadcast_to(np.eye(self.size, dtype=complex),
-                                      chart.shape + (self.size, self.size))
-                self._transition_samples[key] = np.array(eye)
+                self._transition_samples[key] = np.broadcast_to(
+                    np.eye(self.size, dtype=complex),
+                    chart.shape + (self.size, self.size))
             else:
                 self._transition_samples[key] = np.asarray(
                     self.transitions[(k, i)](*chart.grid), dtype=complex)
@@ -163,29 +180,27 @@ class BundleData:
         """Pointwise inverse-consistency residual h_ki(phi(x)) h_ik(x) = 1.
 
         For each overlap keyed (k, i) the map carries chart-i coordinates
-        into chart k; the product of the stored h_ik samples with the
-        (interpolated) h_ki samples at the mapped points must be the
-        identity.  Returns (max residual, ok, location) with the chart
-        pair and grid index of the worst point.
+        into chart k; the product of the stored h_ik samples with h_ki
+        evaluated at the mapped points must be the identity.  Both are
+        read at the overlap points only.  Returns (max
+        residual, ok, location) with the chart pair and grid index of the
+        worst point; a NaN residual is passed over.
         """
         worst, where = 0.0, None
         for (k, i), om in self.base.overlaps.items():
             chart_src = self.base.charts[i]
-            mask = np.asarray(om.mask(*chart_src.grid), dtype=bool)
-            if not mask.any():
+            at, pos, points = _overlap_points(chart_src, om)
+            if not at.size:
                 continue
-            h_ik = self.transition_values(i, k)
-            mapped = om.coords(*chart_src.grid)
-            h_ki_there = np.asarray(self.transitions[(k, i)](*mapped),
+            h_ik = _gather(self.transition_values(i, k), at)
+            h_ki_there = np.asarray(self.transitions[(k, i)](*om.coords(*points)),
                                     dtype=complex)
             prod = h_ki_there @ h_ik
             dev = np.abs(prod - np.eye(self.size)).max(axis=(-2, -1))
-            dev = np.where(mask, dev, 0.0)
             local = float(dev.max())
             if local > worst:
-                worst = local
-                where = ((k, i), tuple(int(x) for x in
-                                       np.unravel_index(np.argmax(dev), dev.shape)))
+                worst, worst_at = local, np.argmax(dev)
+                where = ((k, i), tuple(int(p[worst_at]) for p in pos))
         return worst, worst <= tol, where
 
 
@@ -348,9 +363,18 @@ def _stencil(chart, u, v):
     return corners, weights
 
 
+def _overlap_points(chart, om):
+    """The usable overlap points of ``chart`` under ``om``: their flat grid
+    indices, their index along each axis, and their coordinates, read from
+    the node vectors (``np.take`` on a grid view would copy it whole)."""
+    at = np.flatnonzero(np.asarray(om.mask(*chart.grid), dtype=bool))
+    pos = np.unravel_index(at, chart.shape)
+    return at, pos, [nodes[p] for nodes, p in zip(chart.nodes, pos)]
+
+
 def _gather(values, idx):
     """Grid samples (grid + (N, N)) at flat grid indices ``idx``."""
-    return np.take(values.reshape((-1,) + values.shape[2:]), idx, axis=0)
+    return np.take(values.reshape((-1,) + values.shape[-2:]), idx, axis=0)
 
 
 def _interpolate(stencil, values):
@@ -410,14 +434,12 @@ def gauge_residual(data, k, l, forms=None):
         raise NoOverlap(f"charts {k} and {l} do not overlap")
     chart_l = base.charts[l]
     om = base.overlaps[(k, l)]  # carries chart-l coordinates into chart k
-    mask = np.asarray(om.mask(*chart_l.grid), dtype=bool)
-    if not mask.any():
+    at, pos, points = _overlap_points(chart_l, om)
+    if not at.size:
         raise NoOverlap(f"no usable overlap points between charts {k} and {l}")
-    at = np.flatnonzero(mask)
     if forms is None:
         forms = {j: chart_forms(data, j) for j in (l, k)}
     (a_l, f_l), (a_k, f_k) = forms[l], forms[k]
-    points = [np.take(axis, at) for axis in chart_l.grid]
     mapped = om.coords(*points)
     jac = om.jacobian(*points)  # jac[b][a] = d(mapped_b)/d(x_a)
     h_full = data.transition_values(l, k)  # h_lk on chart l
@@ -425,7 +447,6 @@ def gauge_residual(data, k, l, forms=None):
     h_inv = _inverse(h)
     stencil = _stencil(base.charts[k], *mapped)
     interp_k = [_interpolate(stencil, a_k.components[b]) for b in range(2)]
-    pos = np.unravel_index(at, chart_l.shape)
     steps = (chart_l.shape[1], 1)
     worst = []
     for a in range(2):

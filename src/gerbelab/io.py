@@ -132,6 +132,9 @@ def _resolve_nerve(doc, path):
 
 def parse_coefficients(doc, path="<inline>"):
     from .coeffs import CoefficientGroup
+    if not isinstance(doc, dict):
+        raise ProblemFileError(
+            f"{path}: coefficients must be a mapping, got {doc!r}")
     kind = doc.get("set", "integers")
     involution = doc.get("involution", "identity")
     tolerance = _finite_real(doc.get("tolerance", 1e-9), "coefficients.tolerance",
@@ -290,12 +293,21 @@ def parse_loop(path):
     if doc["kind"] != "loop":
         raise ProblemFileError(f"{path}: expected a loop file")
     size = _integer(_need(doc, "size", path), "size", path, least=1)
+    entries = _need(doc, "coefficients", path)
+    if not (isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise ProblemFileError(
+            f"{path}: coefficients must be a list of mappings with mode and "
+            f"matrix, got {entries!r}")
     coeffs = {}
-    for entry in _need(doc, "coefficients", path):
+    for entry in entries:
         m = _integer(_need(entry, "mode", path), "mode", path)
         if m in coeffs:
             raise ProblemFileError(f"{path}: mode {m} appears twice")
         flat = _need(entry, "matrix", path)
+        if not isinstance(flat, list):
+            raise ProblemFileError(
+                f"{path}: matrix of mode {m} must be a list, got {flat!r}")
         if len(flat) != size * size:
             raise ProblemFileError(
                 f"{path}: mode {m} needs {size * size} entries, got {len(flat)}")

@@ -55,6 +55,20 @@ class LoopPolynomial:
                     raise ValueError(
                         f"skew-hermitian loop fails X_-m = -X_m^* at m={m}")
 
+    @classmethod
+    def _fresh(cls, size, modes, mats):
+        """A loop from coefficients this class has just computed: ``mats``
+        holds the (N, N) arrays of ``modes`` in order, stacked or listed.
+        Unlike ``__init__`` it neither copies nor checks them; one scan
+        over all of them drops the zero modes."""
+        loop = cls.__new__(cls)
+        loop.size = size
+        nonzero = np.reshape(mats, (len(modes), size * size)).any(axis=1)
+        loop.coeffs = {m: mat for m, mat, keep in zip(modes, mats, nonzero)
+                       if keep}
+        loop.band = max(map(abs, loop.coeffs), default=0)
+        return loop
+
     def coeff(self, m):
         mat = self.coeffs.get(int(m))
         if mat is None:
@@ -62,14 +76,13 @@ class LoopPolynomial:
         return mat
 
     def __add__(self, other):
-        out = {}
-        for m in set(self.coeffs) | set(other.coeffs):
-            out[m] = self.coeff(m) + other.coeff(m)
-        return LoopPolynomial(self.size, out)
+        modes = list(set(self.coeffs) | set(other.coeffs))
+        return self._fresh(self.size, modes,
+                           [self.coeff(m) + other.coeff(m) for m in modes])
 
     def scale(self, factor):
-        return LoopPolynomial(self.size,
-                              {m: factor * mat for m, mat in self.coeffs.items()})
+        return self._fresh(self.size, list(self.coeffs),
+                           [factor * mat for mat in self.coeffs.values()])
 
     def bracket(self, other):
         """Pointwise bracket: [X, Y]_m = sum_p X_p Y_{m-p} - Y_p X_{m-p}.
@@ -81,8 +94,7 @@ class LoopPolynomial:
             return LoopPolynomial(self.size, {})
         lo = min(self.coeffs) + min(other.coeffs)
         xy, yx = self._convolve(other), other._convolve(self)
-        return LoopPolynomial(self.size, {lo + i: mat for i, mat in
-                                          enumerate(xy - yx)})
+        return self._fresh(self.size, range(lo, lo + len(xy)), xy - yx)
 
     def _convolve(self, other):
         """sum_p X_p Y_{m-p} for every m from min X + min Y up to
@@ -103,8 +115,8 @@ class LoopPolynomial:
 
     def derivative(self):
         """Theta-derivative: (X')_m = i m X_m."""
-        return LoopPolynomial(self.size,
-                              {m: 1j * m * mat for m, mat in self.coeffs.items()})
+        return self._fresh(self.size, list(self.coeffs),
+                           [1j * m * mat for m, mat in self.coeffs.items()])
 
     def frobenius(self):
         return float(np.sqrt(sum(np.sum(np.abs(m) ** 2)

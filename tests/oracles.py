@@ -16,7 +16,10 @@ checked by a second obstruction (the bit-for-bit reference for
 lifting.trivialize, which negates the one solve of d b = a), and the
 connection pipeline (pullback connection, curvature, gauge residual, Chern
 number) on full grids, with matrix products and the curvature bracket at
-every rank and a separate bilinear interpolation of each form.
+every rank and a separate bilinear interpolation of each form, and a
+bundle's samples and transition report on dense ``np.meshgrid`` copies of
+the chart grids (the bit-for-bit reference for the broadcast grid views
+and the overlap-point report).
 """
 
 from itertools import combinations
@@ -417,3 +420,44 @@ def full_grid_chern_number(data, forms):
         total += base.orientation[k] * cell * np.sum(
             data.partition_values(k, k) * tr)
     return float((1j / (2 * np.pi) * total).real)
+
+
+def meshgrid_samples(data):
+    """{(k, i): (h_ki, lambda_i)} on chart k, every function evaluated on
+    dense ``np.meshgrid(..., indexing="ij")`` copies of the chart grid and
+    h_kk written out as a full array of identities."""
+    out = {}
+    for k, chart in enumerate(data.base.charts):
+        grid = np.meshgrid(*chart.nodes, indexing="ij")
+        for i in range(data.base.chart_count):
+            if i == k:
+                h = np.array(np.broadcast_to(np.eye(data.size, dtype=complex),
+                                             chart.shape + (data.size,) * 2))
+            else:
+                h = np.asarray(data.transitions[(k, i)](*grid), dtype=complex)
+            lam = np.asarray(data.partitions[(i, k)](*grid), dtype=float)
+            out[(k, i)] = h, lam
+    return out
+
+
+def full_grid_transition_report(data, tol=1e-9):
+    """h_ki(phi(x)) h_ik(x) - 1 on all of chart i's meshgrid, masked to the
+    usable overlap afterwards; a NaN residual is passed over because
+    ``nan > worst`` is false.  Reads the stored h_ik samples."""
+    worst, where = 0.0, None
+    for (k, i), om in data.base.overlaps.items():
+        grid = np.meshgrid(*data.base.charts[i].nodes, indexing="ij")
+        mask = np.asarray(om.mask(*grid), dtype=bool)
+        if not mask.any():
+            continue
+        h_ki = np.asarray(data.transitions[(k, i)](*om.coords(*grid)),
+                          dtype=complex)
+        prod = h_ki @ data.transition_values(i, k)
+        dev = np.abs(prod - np.eye(data.size)).max(axis=(-2, -1))
+        dev = np.where(mask, dev, 0.0)
+        local = float(dev.max())
+        if local > worst:
+            worst = local
+            where = ((k, i), tuple(int(x) for x in
+                                   np.unravel_index(np.argmax(dev), dev.shape)))
+    return worst, worst <= tol, where

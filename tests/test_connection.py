@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -449,6 +452,113 @@ def test_unitarity_report_flags_a_corrupted_sample():
     data.corrupt_sample(0, 1, (30, 40), 1.1)
     dev, ok = data.unitarity_report()
     assert not ok
+
+
+# --- stored samples -----------------------------------------------------------
+
+SHIPPED_MODELS = [
+    *[(f"sphere-{res}-clutching{c}", lambda res=res, c=c: two_chart_sphere(c, res))
+      for res in (8, 100, 400) for c in range(-2, 3)],
+    ("circle", two_arc_circle),
+    ("circle-flip", lambda: two_arc_circle(flip=True)),
+    ("interval", trivial_interval_bundle),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in SHIPPED_MODELS],
+                         ids=[name for name, _ in SHIPPED_MODELS])
+def test_samples_equal_the_meshgrid_route(make):
+    """Every sample taken on the broadcast grid views is, bit for bit, the
+    same function evaluated on dense meshgrid copies."""
+    data = make()
+    for (k, i), (h, lam) in oracles.meshgrid_samples(data).items():
+        assert np.array_equal(data.transition_values(k, i), h, equal_nan=True)
+        assert np.array_equal(data.partition_values(i, k), lam, equal_nan=True)
+    for chart in data.base.charts:
+        dense = np.meshgrid(*chart.nodes, indexing="ij")
+        assert all(np.array_equal(a, b) for a, b in zip(chart.grid, dense))
+
+
+@pytest.mark.parametrize("make", [two_arc_circle, trivial_interval_bundle,
+                                  lambda: two_chart_sphere(1, 40, size=2)])
+def test_grids_and_identity_samples_are_read_only_views(make):
+    data = make()
+    for chart in data.base.charts:
+        for axis, (view, nodes) in enumerate(zip(chart.grid, chart.nodes)):
+            assert view.shape == chart.shape and not view.flags.writeable
+            assert np.shares_memory(view, nodes)
+            assert sum(view.strides) == view.strides[axis]  # one axis strides
+            with pytest.raises(ValueError):
+                view[(0,) * chart.dims] = 7.0
+    n = data.size
+    h = data.transition_values(0, 0)
+    assert h.shape == data.base.charts[0].shape + (n, n)
+    assert not h.flags.writeable
+    assert not any(h.strides[:-2])  # every sample is the one identity
+    first, last = h[(0,) * (h.ndim - 2)], h[(-1,) * (h.ndim - 2)]
+    assert np.shares_memory(first, last) and np.array_equal(last, np.eye(n))
+    with pytest.raises(ValueError):
+        h[(0,) * (h.ndim - 2)] = 0.0
+    index = (1,) * (h.ndim - 2)
+    data.corrupt_sample(0, 0, index, 2.0)
+    corrupted = data.transition_values(0, 0)
+    assert corrupted.flags.writeable and not np.shares_memory(corrupted, h)
+    assert np.array_equal(corrupted[index], 2.0 * np.eye(n))
+    assert np.array_equal(corrupted[(0,) * (h.ndim - 2)], np.eye(n))
+    assert np.array_equal(h[index], np.eye(n))  # the view is untouched
+
+
+def test_a_sampled_400_grid_bundle_holds_half_the_memory():
+    """Both charts of two_chart_sphere(1, 400) sampled on every (k, i) pair
+    hold the two transitions and four partitions, 9.8 MiB; dense grid
+    copies and identity samples would add 9.8 MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        data = two_chart_sphere(1, 400)
+        for k in range(2):
+            for i in range(2):
+                data.transition_values(k, i)
+                data.partition_values(i, k)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 11 * 2 ** 20
+
+
+# (name, bundle, corruptions, whether the report passes)
+REPORT_CASES = [
+    ("sphere", lambda: two_chart_sphere(1, 100), [], True),
+    ("sphere-rank2", lambda: two_chart_sphere(-2, 60, size=2), [], True),
+    ("circle-flip", lambda: two_arc_circle(flip=True), [], True),
+    ("circle-point", lambda: two_arc_circle(41), [(0, 1, (3,), 1.25)], False),
+    ("interval", trivial_interval_bundle, [], True),
+    ("one-point", lambda: two_chart_sphere(1, 100), [(0, 1, (50, 80), 1.5)],
+     False),
+    ("two-points", lambda: two_chart_sphere(2, 80),
+     [(1, 0, (40, 60), 1.1), (0, 1, (40, 62), 1.3)], False),
+    ("tie", lambda: two_chart_sphere(1, 80),
+     [(0, 1, (40, 60), 1.5), (0, 1, (40, 20), 1.5)], False),
+    ("nan", lambda: two_chart_sphere(1, 80), [(0, 1, (40, 60), np.nan)], True),
+    ("nan-and-point", lambda: two_chart_sphere(1, 80),
+     [(0, 1, (40, 60), np.nan), (1, 0, (40, 62), 1.5)], False),
+    ("outside-overlap", lambda: two_chart_sphere(1, 80), [(0, 1, (0, 0), 3.0)],
+     True),
+]
+
+
+@pytest.mark.parametrize("make, corruptions, ok", [c[1:] for c in REPORT_CASES],
+                         ids=[c[0] for c in REPORT_CASES])
+def test_transition_report_equals_the_full_grid_route(make, corruptions, ok):
+    """Read at the overlap points only, the report gives the full-grid
+    route's residual and location; a NaN residual is passed over."""
+    data = make()
+    for corruption in corruptions:
+        data.corrupt_sample(*corruption)
+    got = data.transition_report()
+    assert repr(got) == repr(oracles.full_grid_transition_report(data))
+    assert got[1] == ok
 
 
 # --- Chern numbers ----------------------------------------------------------

@@ -173,6 +173,12 @@ NUMBER_FIELDS = [
       for key in ("inner", "outer", "extent")],
     ("loop_single_mode.yaml", ("skew",), ["no", "true", 1, 0, None]),
 ]
+# (file, keys of a nested block, values of the wrong shape): a loop's
+# coefficients are a list of mappings, a system's a mapping
+BLOCK_SHAPES = [
+    ("loop_single_mode.yaml", ("coefficients",), [[5], {"mode": 1}, "mod", None]),
+    ("system_rp2_mod2.yaml", ("coefficients",), [[5], "mod", None]),
+]
 CORRUPTION = {"chart": 0, "other": 1, "index": [50, 80], "factor": [1.5, 0]}
 RP2_MAXIMAL = yaml.safe_load((SAMPLES / "nerve_rp2.yaml").read_text())["maximal"]
 LOOP_COEFFICIENTS = yaml.safe_load(
@@ -211,6 +217,8 @@ BAD_ENTRIES = [
      (0, "matrix", 0, 0), [True, "1.5", NAN, INF]),
     ("loop_single_mode.yaml", "matrix", ("coefficients",), LOOP_COEFFICIENTS,
      (0, "matrix", 1), [1, [1], [1, 0, 0], "1, 0", ["1.5", True]]),
+    ("loop_single_mode.yaml", "matrix", ("coefficients",), LOOP_COEFFICIENTS,
+     (0, "matrix"), [5, "1, 0"]),
     ("bundle_sphere_degree1.yaml", "corruption.index", ("corruption",), CORRUPTION,
      ("index",), [[10], [10, 30, 5], [], [400, 0], [0, 400], "10, 30"]),
     ("bundle_sphere_degree1.yaml", "corruption.factor", ("corruption",), CORRUPTION,
@@ -276,7 +284,7 @@ def _mutants():
         }
         for label, change in changes.items():
             yield name, key, label, _edges(key, change)
-    for name, keys, bad_values in NUMBER_FIELDS:
+    for name, keys, bad_values in NUMBER_FIELDS + BLOCK_SHAPES:
         for bad in bad_values:
             yield name, ".".join(keys), f"{bad!r}", _set(keys, bad)
     for name, field, keys, block, where, more in INTEGER_ENTRIES:
@@ -636,6 +644,33 @@ def test_cli_chern_corruption_stays_on_the_named_grid(tmp_path, capsys, grid):
     res = 40 if grid is None else 60
     assert got[f"gauge-residual-{res // 2}"] == want[f"gauge-residual-{res // 2}"]
     assert float(got["cocycle-residual"]) > float(want["cocycle-residual"])
+
+
+def test_cli_chern_frees_the_coarse_bundle_before_the_fine_forms(monkeypatch, capsys):
+    """The res//2 bundle serves one gauge residual; no sample of it is
+    alive while the fine grid's forms are built."""
+    import weakref
+    from gerbelab import connection
+    built, alive_at_forms = [], []
+    make, forms = connection.two_chart_sphere, connection.chart_forms
+
+    def tracked(*args, **kwargs):
+        data = make(*args, **kwargs)
+        built.append(weakref.ref(data))
+        return data
+
+    def spy(data, k):
+        alive_at_forms.append([ref() is not None for ref in built])
+        return forms(data, k)
+
+    monkeypatch.setattr(connection, "two_chart_sphere", tracked)
+    monkeypatch.setattr(connection, "chart_forms", spy)
+    assert cli.main(["chern", str(SAMPLES / "bundle_sphere_degree1.yaml"),
+                     "--grid", "40"]) == 0
+    assert "nearest-integer: 1" in capsys.readouterr().out
+    # built: the fine bundle, then the coarse one; chart_forms runs twice
+    # inside the coarse gauge residual and twice for the fine grid
+    assert alive_at_forms == [[True, True]] * 2 + [[True, False]] * 2
 
 
 def test_cli_chern_corruption_index_must_lie_in_the_grid_override(tmp_path, capsys):

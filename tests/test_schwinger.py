@@ -443,6 +443,53 @@ def test_shape_mismatch_rejected():
         LoopPolynomial(2, {0: np.eye(3)})
 
 
+def test_caller_coefficients_are_copied_and_zero_modes_dropped():
+    mat = np.eye(2, dtype=complex)
+    x = LoopPolynomial(2, {3: mat, -1: np.zeros((2, 2)), 0: [[0, 1], [0, 0]]})
+    mat[0, 0] = 5.0
+    assert list(x.coeffs) == [3, 0] and x.band == 3
+    assert np.array_equal(x.coeff(3), np.eye(2))
+
+
+def _same_loop(got, want):
+    """Same size, band, mode order and coefficient bits."""
+    assert (got.size, got.band, list(got.coeffs)) == \
+        (want.size, want.band, list(want.coeffs))
+    for m, mat in want.coeffs.items():
+        assert got.coeffs[m].shape == mat.shape
+        assert got.coeffs[m].tobytes() == mat.tobytes()
+
+
+def test_loops_the_class_builds_equal_the_init_route():
+    """Sums, scales, derivatives and brackets, built without __init__'s
+    copy and scan, equal the same coefficients passed through __init__,
+    with the zero modes of cancellations and gaps dropped."""
+    rng = np.random.default_rng(19)
+    diag = LoopPolynomial(2, {m: np.diag(rng.standard_normal(2)) for m in (-1, 2)})
+    gappy = LoopPolynomial(3, {m: rng.standard_normal((3, 3)) for m in (-4, -1, 3)})
+    loops = [rand_loop(rng, 3, 2), gappy,
+             LoopPolynomial(3, {5: rng.standard_normal((3, 3))}),
+             LoopPolynomial(3, {0: rng.standard_normal((3, 3))}),
+             LoopPolynomial.random(rng, 3, 2, skew=True), LoopPolynomial(3, {})]
+    pairs = [(x, y) for x in loops for y in loops] + [(diag, diag.scale(2.0))]
+    for x, y in pairs:
+        lo = min(x.coeffs, default=0) + min(y.coeffs, default=0)
+        xy = x._convolve(y) - y._convolve(x) if x.coeffs and y.coeffs else []
+        _same_loop(x.bracket(y), LoopPolynomial(
+            x.size, {lo + i: mat for i, mat in enumerate(xy)}))
+        _same_loop(x + y, LoopPolynomial(x.size, {
+            m: x.coeff(m) + y.coeff(m) for m in set(x.coeffs) | set(y.coeffs)}))
+    for x in loops + [diag]:
+        for factor in (0.5 - 2j, 0.0, -1):
+            _same_loop(x.scale(factor), LoopPolynomial(
+                x.size, {m: factor * mat for m, mat in x.coeffs.items()}))
+        _same_loop(x.derivative(), LoopPolynomial(
+            x.size, {m: 1j * m * mat for m, mat in x.coeffs.items()}))
+        assert not (x + x.scale(-1)).coeffs
+    assert not diag.bracket(diag.scale(2.0)).coeffs
+    assert not LoopPolynomial(3, {0: np.eye(3)}).derivative().coeffs
+
+
 def test_skew_flag():
     rng = np.random.default_rng(15)
     skew = LoopPolynomial.random(rng, 3, 2, skew=True)
