@@ -3,23 +3,35 @@
 Reports are plain ``key: value`` lines with fixed float formatting, so a
 rerun on the same inputs is byte-identical; ``--machine-readable`` emits
 the same data as sorted JSON.  Exit codes: 0 success, 2 parse/validation
-failure, 3 mathematical invariant violation.
+failure, 3 mathematical invariant violation, 4 internal error (a failed
+self-check).
 
 Each command imports the layers it runs, so importing this module loads
-only ``coeffs`` and ``errors``.  ``cohomology`` and ``obstruction`` load
-the exact layers and PyYAML but never numpy; ``schwinger`` and ``chern``
-load numpy with their own layer, and PyYAML only to read input files, but
-no exact layer.
+only ``errors``, and ``json`` loads only for ``--machine-readable``.
+``cohomology`` and ``obstruction`` load the exact layers and PyYAML but
+never numpy; ``schwinger`` and ``chern`` load numpy with their own layer,
+and PyYAML only to read input files, but no exact layer.
 """
 
 import argparse
-import json
 import sys
 
-from .coeffs import (Automorphism, CoefficientGroup, FiniteGroup,
-                     SemidirectElement, cyclic_central_extension,
-                     semidirect_group, semidirect_mul, verify_extension)
 from .errors import GerbeError, ProblemFileError
+
+# coeffs names this module re-exports.  Each access reads coeffs and
+# nothing is cached here, so a name rebound in coeffs (as a tracer does)
+# reads the same through this module.
+_COEFFS_EXPORTS = frozenset((
+    "Automorphism", "CoefficientGroup", "FiniteGroup", "SemidirectElement",
+    "cyclic_central_extension", "semidirect_group", "semidirect_mul",
+    "verify_extension"))
+
+
+def __getattr__(name):
+    if name not in _COEFFS_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import coeffs
+    return getattr(coeffs, name)
 
 
 def _fmt(value):
@@ -50,6 +62,7 @@ class Report:
 
     def emit(self, machine):
         if machine:
+            import json
             sys.stdout.write(json.dumps(self.data, sort_keys=True,
                                         default=_fmt) + "\n")
         else:
@@ -89,6 +102,7 @@ def _class_order(result):
 
 def cmd_obstruction(args):
     from . import io, lifting
+    from .coeffs import verify_extension
     report = Report("obstruction")
     _input_line(report, "transition", args.transition)
     _input_line(report, "extension", args.extension)
@@ -281,6 +295,7 @@ def _suite_nerve(rng):
 
 def _suite_cech(rng):
     from . import cech, models, nerve as nerve_mod
+    from .coeffs import CoefficientGroup
     for _ in range(30):
         n = nerve_mod.random_nerve(rng)
         coeff = CoefficientGroup.integers(
@@ -299,6 +314,7 @@ def _suite_cech(rng):
 def _random_system(nerve_, coeff, rng):
     """Random valid twist: a mod-2 kernel element of the edge coboundary."""
     from . import cech, snf as _snf
+    from .coeffs import CoefficientGroup
     mod2 = cech.TwistedLocalSystem(nerve_, CoefficientGroup.integers_mod(2))
     basis = _snf.kernel_basis(mod2.delta_snf_mod(1))
     signs = [0] * nerve_.count(1)
@@ -311,6 +327,9 @@ def _random_system(nerve_, coeff, rng):
 
 
 def _suite_coeffs(rng):
+    from .coeffs import (Automorphism, FiniteGroup, SemidirectElement,
+                         cyclic_central_extension, semidirect_group,
+                         semidirect_mul, verify_extension)
     z3 = FiniteGroup.cyclic(3)
     neg = Automorphism.negation(z3)
     s3 = semidirect_group(z3, neg)
@@ -329,6 +348,8 @@ def _suite_coeffs(rng):
 
 def _suite_lifting(rng):
     from . import cech, lifting, models
+    from .coeffs import (Automorphism, CoefficientGroup, FiniteGroup,
+                         cyclic_central_extension)
     ext = cyclic_central_extension(2, 2)
     sphere = models.boundary_simplex(2)
     z2 = FiniteGroup.cyclic(2)
@@ -444,6 +465,9 @@ def main(argv=None):
     except GerbeError as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return 3
+    except AssertionError as exc:  # a self-check failed: a bug, not bad input
+        sys.stderr.write(f"internal error: AssertionError: {exc}\n")
+        return 4
     except Exception as exc:  # malformed input must not escape as a traceback
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2

@@ -1,11 +1,13 @@
 """The import contract: every layer loads the first time it is used.
 
 ``import gerbelab`` loads no layer and ``import gerbelab.cli`` only
-``coeffs`` and ``errors``; each command loads the layers it runs and no
-other.  The exact side never loads numpy: the ``cohomology`` and
-``obstruction`` commands run to their golden bytes without it, and so do
-real or circle-valued coboundary solves.  Every check runs in a fresh
-interpreter, since this test session has long imported all of them.
+``errors``, with neither ``json`` nor ``dataclasses``; each command loads
+the layers it runs and no other, and ``json`` only for
+``--machine-readable``.  The exact side never loads numpy: the
+``cohomology`` and ``obstruction`` commands run to their golden bytes
+without it, and so do real or circle-valued coboundary solves.  Every
+check of what loads runs in a fresh interpreter, since this test session
+has long imported all of them.
 """
 
 import json
@@ -58,36 +60,45 @@ def run_python(script):
 
 
 def loaded_by(script):
-    """The gerbelab layers (by short name), numpy and yaml that ``script``
-    leaves loaded in a fresh interpreter."""
+    """The gerbelab layers (by short name), numpy, yaml, json and
+    dataclasses that ``script`` leaves loaded in a fresh interpreter; the
+    probe reads ``sys.modules`` before it imports ``json`` itself."""
     return set(run_python(
-        "import json, sys\n"
+        "import sys\n"
         f"{script}\n"
-        "print(json.dumps([m.partition('gerbelab.')[2] or m for m in sys.modules\n"
-        "                  if m.startswith('gerbelab.') or m in ('numpy', 'yaml')]))\n"))
+        "loaded = [m.partition('gerbelab.')[2] or m for m in sys.modules\n"
+        "          if m.startswith('gerbelab.')\n"
+        "          or m in ('numpy', 'yaml', 'json', 'dataclasses')]\n"
+        "import json\n"
+        "print(json.dumps(loaded))\n"))
 
 
 def test_importing_the_package_loads_no_layer():
     assert loaded_by("import gerbelab") == set()
 
 
-def test_importing_the_cli_loads_only_coeffs_and_errors():
-    assert loaded_by("import gerbelab.cli") == {"cli", "coeffs", "errors"}
+def test_importing_the_cli_loads_only_errors():
+    assert loaded_by("import gerbelab.cli") == {"cli", "errors"}
 
 
-EXACT_LAYERS = {"cech", "snf", "nerve", "lifting", "models"}
+EXACT_LAYERS = {"cech", "coeffs", "snf", "nerve", "lifting", "models"}
+COHOMOLOGY = ["cohomology", S + "system_rp2_mod2.yaml", "--degree", "2"]
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (["schwinger", "--mode", "trace", "--random", "2,3"],
-     EXACT_LAYERS | {"yaml", "io", "connection"}),
-    (["schwinger", *LOOPS, "--mode", "trace"], EXACT_LAYERS | {"connection"}),
+@pytest.mark.parametrize("argv, used, unused", [
+    (["schwinger", "--mode", "trace", "--random", "2,3"], {"schwinger"},
+     EXACT_LAYERS | {"yaml", "io", "connection", "json"}),
+    (["schwinger", *LOOPS, "--mode", "trace"], {"schwinger", "io"},
+     EXACT_LAYERS | {"connection", "json"}),
     (["chern", S + "bundle_sphere_degree1.yaml", "--grid", "40"],
-     EXACT_LAYERS | {"schwinger"}),
-    (["cohomology", S + "system_rp2_mod2.yaml", "--degree", "2"],
+     {"connection", "io"}, EXACT_LAYERS | {"schwinger", "json"}),
+    (COHOMOLOGY, {"cech", "coeffs"},
+     {"numpy", "lifting", "models", "schwinger", "connection", "json"}),
+    (["--machine-readable", *COHOMOLOGY], {"cech", "json"},
      {"numpy", "lifting", "models", "schwinger", "connection"}),
-], ids=["schwinger-random", "schwinger-files", "chern", "cohomology"])
-def test_each_command_loads_only_the_layers_it_runs(argv, unused):
+], ids=["schwinger-random", "schwinger-files", "chern", "cohomology",
+        "cohomology-machine-readable"])
+def test_each_command_loads_only_the_layers_it_runs(argv, used, unused):
     loaded = loaded_by(
         "import contextlib, io\n"
         "from gerbelab import cli\n"
@@ -95,7 +106,21 @@ def test_each_command_loads_only_the_layers_it_runs(argv, unused):
         f"    code = cli.main({argv!r})\n"
         "if code:\n"
         "    sys.exit(code)")
-    assert "cli" in loaded and not loaded & unused
+    assert {"cli"} | used <= loaded and not loaded & unused
+
+
+def test_cli_serves_its_coeffs_names_lazily():
+    from gerbelab import cli, coeffs
+    names = ("Automorphism CoefficientGroup FiniteGroup SemidirectElement "
+             "cyclic_central_extension semidirect_group semidirect_mul "
+             "verify_extension").split()
+    for name in names:
+        assert name not in vars(cli)
+        assert cli.__getattr__(name) is getattr(coeffs, name)
+        assert getattr(cli, name) is getattr(coeffs, name)
+        assert name not in vars(cli), f"{name} was cached"
+    with pytest.raises(AttributeError):
+        cli.no_such_name
 
 
 def test_importing_the_package_and_cli_loads_no_numpy():

@@ -488,9 +488,9 @@ def test_cli_obstruction_self_check_runs_under_optimize():
               f"sys.exit(cli.main(['obstruction', *{TWISTED!r}]))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stderr == ("error: AssertionError: corrected lifts fail the "
-                           "strict cocycle condition\n")
+    assert proc.returncode == 4
+    assert proc.stderr == ("internal error: AssertionError: corrected lifts "
+                           "fail the strict cocycle condition\n")
     assert proc.stdout == ""
 
 
