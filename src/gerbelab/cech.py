@@ -26,7 +26,8 @@ the form of d_{k-1}: over Z in exact arithmetic, over Z/n from the dense
 form of [d_{k-1} | nI], over R and R/Z by one rule past the rank,
 where (S z)_i must be a multiple of a period, 0 for R and 1 for R/Z, to
 within tol |S_i|_1 max(1, |z|_inf).  When it is not, the integral row S_i
-is the certificate.  The Bockstein route (lift, take the coboundary, read
+is the certificate; over Z and Z/n the same scan of S z gives the order
+of the class.  The Bockstein route (lift, take the coboundary, read
 off an integer cocycle: the twisted Dixmier-Douady construction) names a
 circle-valued class that is not trivial.  A system made by
 with_coefficients shares its parent's cache of matrices and Smith forms
@@ -309,9 +310,13 @@ class Certificate:
 
 @dataclass(frozen=True)
 class CoboundaryResult:
+    """A solve of d b = z: the primitive b or a certificate.  ``order`` is
+    the order of [z] over Z and Z/n, read in the same scan (1 when
+    trivial, 0 when infinite); None over R and R/Z."""
     trivial: bool
     primitive: Optional[Cochain] = None
     certificate: Optional[Certificate] = None
+    order: Optional[int] = None
 
 
 def is_coboundary(z, sys):
@@ -322,11 +327,15 @@ def is_coboundary(z, sys):
     applied forward, T y a back-substitution, and a row S_i is formed only
     for a certificate.  Z takes one exact pass of snf.solve over it, Z/n
     one over the dense form of [d_{k-1} | nI] (the primitive cut to its
-    first count(k-1) entries).  R and R/Z (u1_is_coboundary) share one
-    reading with a period p, 0 for R and 1 for R/Z: z is exact when every
-    (S z)_i with i >= r is within tol |S_i|_1 max(1, |z|_inf) of a multiple
-    of p, where tol = max(tolerance, 1e-12) for R and max(tolerance, 1e-9)
-    for R/Z.  The primitive is then T y with y_i = (S z)_i / d_i, and
+    first count(k-1) entries; that form has full row rank, so every row is
+    below the rank).  The same pass gives the result's ``order``, the order
+    of [z] in H^k: the lcm of d_i / gcd((S z)_i mod d_i, d_i) below the
+    rank, or 0 (infinite) when a row past the rank is nonzero.  R and R/Z
+    (u1_is_coboundary) share one reading with a period p, 0 for R and 1
+    for R/Z: z is exact when every (S z)_i with i >= r is within
+    tol |S_i|_1 max(1, |z|_inf) of a multiple of p, where
+    tol = max(tolerance, 1e-12) for R and max(tolerance, 1e-9) for R/Z.
+    The primitive is then T y with y_i = (S z)_i / d_i, and
     AssertionError is raised unless d(T y) is within tol max(1, |z|_inf)
     of z or of z - S^-1 e mod p, e being the past-rank part of S z less
     its multiples of p.  Otherwise the integral row S_i, which kills
@@ -341,12 +350,12 @@ def is_coboundary(z, sys):
     kind = sys.coeff.kind
     if kind in (INTEGERS, MOD):
         s = sys.delta_snf(k - 1) if kind == INTEGERS else sys.delta_snf_mod(k - 1)
-        x, cert = _snf.solve(s, z.values)
+        x, cert, order = _snf.solve(s, z.values)
         if cert is not None:
             fun, mod, val = cert
-            return CoboundaryResult(False, None, Certificate(tuple(fun), mod, val))
+            return CoboundaryResult(False, None, Certificate(tuple(fun), mod, val), order)
         x = x[:sys.nerve.count(k - 1)]
-        return CoboundaryResult(True, cochain(sys, k - 1, x), None)
+        return CoboundaryResult(True, cochain(sys, k - 1, x), None, 1)
     if kind == REALS:
         return _solve_past_rank(z, sys, 0, max(sys.coeff.tolerance, 1e-12))
     if kind == CIRCLE:

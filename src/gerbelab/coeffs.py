@@ -94,15 +94,6 @@ class CoefficientGroup:
     def neg(self, a):
         return self.normalize(-a)
 
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
-    def act(self, eps, a):
-        """Apply the edge sign: involution for eps == -1, identity otherwise."""
-        if eps == -1 and self.involution == NEGATION:
-            return self.neg(a)
-        return self.normalize(a)
-
     def is_zero(self, a):
         if self.exact:
             return self.normalize(a) == 0
@@ -110,9 +101,6 @@ class CoefficientGroup:
             d = float(a) % 1.0
             return min(d, 1.0 - d) <= self.tolerance
         return abs(a) <= self.tolerance
-
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
 
     def random(self, rng):
         if self.kind == INTEGERS:

@@ -165,17 +165,6 @@ class BundleData:
             worst = max(worst, float(np.max(np.abs(total - 1.0))))
         return worst, worst <= tol
 
-    def unitarity_report(self, tol=1e-8):
-        """Max deviation of h^* h from the identity over all stored samples."""
-        worst = 0.0
-        for (k, i) in list(self._transition_samples) + \
-                [pair for pair in self.transitions if pair not in
-                 self._transition_samples]:
-            h = self.transition_values(k, i)
-            dev = np.abs(np.swapaxes(h.conj(), -2, -1) @ h - np.eye(self.size))
-            worst = max(worst, float(dev.max()))
-        return worst, worst <= tol
-
     def transition_report(self, tol=1e-9):
         """Pointwise inverse-consistency residual h_ki(phi(x)) h_ik(x) = 1.
 
@@ -566,18 +555,6 @@ def two_chart_sphere(clutching, resolution=200, inner=0.7, outer=1.4,
     }
     return BundleData(base, size, transitions, partitions,
                       name=f"sphere-clutching-{n}")
-
-
-def interval_base(resolution=21):
-    """A single 1D chart; the smallest base with a (trivial) bundle."""
-    chart = Chart("interval", [(0.0, 1.0, resolution)])
-    return ChartedBase([chart], {}, closed_surface=False, name="interval")
-
-
-def trivial_interval_bundle(resolution=21, size=1):
-    base = interval_base(resolution)
-    partitions = {(0, 0): lambda u: np.ones_like(u)}
-    return BundleData(base, size, {}, partitions, name="trivial-interval")
 
 
 def two_arc_circle(resolution=101, flip=False):

@@ -131,29 +131,31 @@ def _resolve_nerve(doc, path):
 
 
 def parse_coefficients(doc, path="<inline>"):
-    from .coeffs import CoefficientGroup
+    """A CoefficientGroup from a ``coefficients`` block.  ``modulus``
+    belongs to set mod only, and a non-zero ``tolerance`` to reals and
+    circle only; either one elsewhere is bad input."""
+    from .coeffs import INTEGERS, MOD, CoefficientGroup
     if not isinstance(doc, dict):
         raise ProblemFileError(
             f"{path}: coefficients must be a mapping, got {doc!r}")
-    kind = doc.get("set", "integers")
-    involution = doc.get("involution", "identity")
-    tolerance = _finite_real(doc.get("tolerance", 1e-9), "coefficients.tolerance",
-                             path, least=0)
-    if kind == "mod":
+    kind = doc.get("set", INTEGERS)
+    exact = kind in (INTEGERS, MOD)
+    tolerance = _finite_real(doc.get("tolerance", 0 if exact else 1e-9),
+                             "coefficients.tolerance", path, least=0)
+    if exact and tolerance:
+        raise ProblemFileError(f"{path}: coefficients.tolerance must be 0 "
+                               f"for set {kind}, got {tolerance!r}")
+    modulus = None
+    if kind == MOD:
         modulus = _integer(_need(doc, "modulus", path), "coefficients.modulus",
                            path, least=1)
+    elif "modulus" in doc:
+        raise ProblemFileError(f"{path}: coefficients.modulus belongs to set mod only")
     try:
-        if kind == "integers":
-            return CoefficientGroup.integers(involution=involution)
-        if kind == "mod":
-            return CoefficientGroup.integers_mod(modulus, involution=involution)
-        if kind == "reals":
-            return CoefficientGroup.reals(involution=involution, tolerance=tolerance)
-        if kind == "circle":
-            return CoefficientGroup.circle(involution=involution, tolerance=tolerance)
+        return CoefficientGroup(kind, modulus, doc.get("involution", "identity"),
+                                tolerance)
     except Exception as exc:
         raise ProblemFileError(f"{path}: bad coefficients: {exc}") from exc
-    raise ProblemFileError(f"{path}: unknown coefficient set {kind!r}")
 
 
 def _parse_edge_list(entries, what, path, nerve, values):

@@ -12,10 +12,12 @@ lifted cocycle condition
 lands in the central kernel and is a twisted 2-cocycle there.  Its class
 does not depend on the lifts, and vanishes exactly when corrected lifts
 satisfying the strict cocycle condition exist: one solve of d b = a
-(ObstructionResult.class_result) decides it, and trivialize builds the
-corrected lifts kernel(-b_ij) . ghat_ij from that same solve.  Every
-product in G x| Z2 and in hat x| Z2 is coeffs.semidirect_mul; nerve
-simplices are increasing tuples, so only ascending edges are ever read.
+(ObstructionResult.class_result) decides it and reads the order of the
+class from the same scan of S a, and trivialize builds the corrected lifts
+kernel(-b_ij) . ghat_ij from that same solve, or passes on its
+certificate and order.  Every product in G x| Z2 and in hat x| Z2 is
+coeffs.semidirect_mul; nerve simplices are increasing tuples, so only
+ascending edges are ever read.
 """
 
 from dataclasses import dataclass
@@ -174,8 +176,10 @@ def change_lifts(a, b, sys):
 
 @dataclass(frozen=True)
 class TrivializeResult:
+    """Corrected lifts, or the certificate and order (> 1) of the class."""
     lifts: Optional[LiftChoice]
     certificate: Optional[Certificate]
+    order: int = 1
 
     @property
     def trivial(self):
@@ -189,11 +193,12 @@ def trivialize(result):
     sets ghat'_ij = kernel(-b_ij) . ghat_ij, checks exactly that
     q(ghat'_ij) = g_ij on every edge and xhat'_ij xhat'_jk = xhat'_ik
     under sigmahat on every triangle, and returns the corrected lifts;
-    otherwise returns the solve's certificate, which pairs with a.
+    otherwise returns the solve's certificate, which pairs with a, and the
+    order of the class that the solve read.
     """
     solved = result.class_result()
     if not solved.trivial:
-        return TrivializeResult(None, solved.certificate)
+        return TrivializeResult(None, solved.certificate, solved.order)
     ext, td = result.ext, result.td
     corrected = tuple(ext.hat.mul(ext.kernel_element(-v), h)
                       for v, h in zip(solved.primitive.values, result.lifts.values))

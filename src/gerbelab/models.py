@@ -139,12 +139,3 @@ def half_integer_two_cocycle(system):
         CoefficientGroup.circle(involution=system.coeff.involution))
     return cech.cochain(circle_sys, 2, [v % 2 / 2 for v in column]), circle_sys
 
-
-def standard_corpus():
-    """The named small complexes every oracle comparison runs over."""
-    return {
-        "circle": circle_nerve(),
-        "sphere2": boundary_simplex(2),
-        "sphere3": boundary_simplex(3),
-        "rp2": rp2_nerve(),
-    }

@@ -2,8 +2,9 @@
 
 Smith normal form with unimodular transforms, kernel bases, and an
 integer solve that returns either a solution or an image-membership
-certificate from one scan of S b.  Dense matrices are lists of lists of
-Python ints; sparse ones are lists of {column: value} rows.
+certificate, with the order of the right-hand side in the cokernel, from
+one scan of S b.  Dense matrices are lists of lists of Python ints;
+sparse ones are lists of {column: value} rows.
 
 Two forms share one interface (``apply_s``, ``row_of_s``, ``apply_t``),
 so ``solve`` reads either.  ``SparseSmithForm`` is the one elimination
@@ -16,6 +17,7 @@ one place where sparse rows are written out densely.
 """
 
 from heapq import heappop, heappush
+from math import gcd, lcm
 
 
 class SmithForm:
@@ -319,24 +321,32 @@ def matvec(matrix, vec):
 
 def solve(snf, b):
     """Solve A x = b over the integers given a Smith form of A (dense or
-    sparse).
+    sparse), and read the order of b in the cokernel of A from the same
+    scan of c = S b.
 
-    Returns (x, None) when b is in the column space of A, otherwise
-    (None, (functional, modulus, value)): the functional f (a row of S)
-    kills the image of A modulo ``modulus`` (modulus 0 meaning over the
-    integers) yet pairs with b to ``value``, nonzero mod ``modulus``.
+    The cokernel is Z/d_i on row i, with d_i = 0 (Z) past the rank, so the
+    order is the lcm of d_i / gcd(c_i, d_i) over the rows, 0 meaning
+    infinite (universal coefficients, Hatcher, Algebraic Topology, Thm
+    3A.3).  Returns (x, None, 1) when b is in the column space of A,
+    otherwise (None, (functional, modulus, value), order) from the first
+    row that fails: the functional f (a row of S) kills the image of A
+    modulo ``modulus`` (modulus 0 meaning over the integers) yet pairs with
+    b to ``value``, nonzero mod ``modulus``.
     """
     sb = snf.apply_s(list(b))
     y = [0] * snf.ncols
-    for i in range(snf.nrows):
-        if i < snf.rank:
-            q, r = divmod(sb[i], snf.diag[i])
-            if r:
-                return None, (snf.row_of_s(i), snf.diag[i], r)
-            y[i] = q
-        elif sb[i]:
-            return None, (snf.row_of_s(i), 0, sb[i])
-    return snf.apply_t(y), None
+    rank, diag = snf.rank, snf.diag
+    cert, order = None, 1
+    for i, r in enumerate(sb):
+        d = diag[i] if i < rank else 0
+        if d:
+            y[i], r = divmod(r, d)
+        if r:
+            order = lcm(order, d // gcd(r, d))  # 0 when d = 0, and lcm keeps 0
+            cert = cert or (snf.row_of_s(i), d, r)
+    if cert is not None:
+        return None, cert, order
+    return snf.apply_t(y), None, 1
 
 
 def kernel_basis(snf):

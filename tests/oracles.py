@@ -13,13 +13,20 @@ cocycle check and lifting obstruction with the semidirect product written
 out by hand (the bit-for-bit reference for lifting, which reads
 coeffs.semidirect_mul), trivialization by a second solve of d b' = -a
 checked by a second obstruction (the bit-for-bit reference for
-lifting.trivialize, which negates the one solve of d b = a), and the
-connection pipeline (pullback connection, curvature, gauge residual, Chern
-number) on full grids, with matrix products and the curvature bracket at
-every rank and a separate bilinear interpolation of each form, and a
-bundle's samples and transition report on dense ``np.meshgrid`` copies of
-the chart grids (the bit-for-bit reference for the broadcast grid views
-and the overlap-point report).
+lifting.trivialize, which negates the one solve of d b = a), the order of
+a class by one solve per multiple (the reference for the order that
+is_coboundary reads from its one solve), and the connection pipeline
+(pullback connection, curvature, gauge residual, Chern number) on full
+grids, with matrix products and the curvature bracket at every rank and a
+separate bilinear interpolation of each form, and a bundle's samples and
+transition report on dense ``np.meshgrid`` copies of the chart grids (the
+bit-for-bit reference for the broadcast grid views and the overlap-point
+report).
+
+It also holds the small fixtures only the tests read: the edge-sign action
+and tolerant equality of a coefficient group, the standard nerve corpus,
+the trivial bundle over an interval, and a unitarity report of a bundle's
+samples.
 """
 
 from itertools import combinations
@@ -29,10 +36,20 @@ import numpy as np
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from gerbelab import lifting
-from gerbelab.cech import Cochain, cochain_neg, is_coboundary, zero_cochain
+from gerbelab import lifting, models
+from gerbelab.cech import Cochain, cochain, cochain_neg, is_coboundary, zero_cochain
 from gerbelab.errors import DegreeOverflow
 from gerbelab.nerve import MAX_DIM, faces
+
+
+def standard_corpus():
+    """The named small complexes every oracle comparison runs over."""
+    return {
+        "circle": models.circle_nerve(),
+        "sphere2": models.boundary_simplex(2),
+        "sphere3": models.boundary_simplex(3),
+        "rp2": models.rp2_nerve(),
+    }
 
 
 def simplex_lists(nerve):
@@ -70,6 +87,19 @@ def coboundary_matrix(nerve, k, eps=None, negate=True):
     return rows
 
 
+def act(coeff, eps, a):
+    """The edge sign eps on a coefficient: the involution for eps == -1,
+    the identity otherwise."""
+    if eps == -1 and coeff.involution == "negation":
+        return coeff.neg(a)
+    return coeff.normalize(a)
+
+
+def coeff_eq(coeff, a, b):
+    """a == b in the coefficient group, to within its tolerance."""
+    return coeff.is_zero(coeff.normalize(a - b))
+
+
 def face_by_face_coboundary(c, sys):
     """The twisted coboundary of a cochain, summed face by face: the
     leading face acted on by its edge sign, then each further face added or
@@ -83,10 +113,10 @@ def face_by_face_coboundary(c, sys):
     out = []
     for s in sys.nerve.simplices[k + 1]:
         fs = faces(s)
-        v = coeff.act(sys.eps_of(s[0], s[1]), c.values[sys.nerve.index_of(fs[0])])
+        v = act(coeff, sys.eps_of(s[0], s[1]), c.values[sys.nerve.index_of(fs[0])])
         for r in range(1, len(fs)):
             w = c.values[sys.nerve.index_of(fs[r])]
-            v = coeff.sub(v, w) if r % 2 else coeff.add(v, w)
+            v = coeff.normalize(v - w) if r % 2 else coeff.add(v, w)
         out.append(v)
     return Cochain(k + 1, tuple(out))
 
@@ -299,6 +329,16 @@ def negated_solve_trivialize(result):
     return corrected, None
 
 
+def loop_class_order(z, sys, bound):
+    """Order of the class of the cocycle z by one full solve per multiple:
+    the least m in 1..bound with m z a coboundary, 0 when none is (the
+    brute-force reference for is_coboundary's order, read from one scan)."""
+    for m in range(1, bound + 1):
+        if is_coboundary(cochain(sys, z.degree, [m * v for v in z.values]), sys).trivial:
+            return m
+    return 0
+
+
 def cup_product(nerve, p, a, q, b):
     """Alexander-Whitney cup product of a p-cochain a and a q-cochain b.
 
@@ -317,6 +357,27 @@ def winding_number(values):
 
 
 # --- the connection pipeline on full grids ---------------------------------
+
+def trivial_interval_bundle(resolution=21, size=1):
+    """The trivial bundle over one 1D chart, the smallest charted base."""
+    from gerbelab.connection import BundleData, Chart, ChartedBase
+    chart = Chart("interval", [(0.0, 1.0, resolution)])
+    base = ChartedBase([chart], {}, closed_surface=False, name="interval")
+    return BundleData(base, size, {}, {(0, 0): lambda u: np.ones_like(u)},
+                      name="trivial-interval")
+
+
+def unitarity_report(data, tol=1e-8):
+    """(max deviation of h^* h from the identity over every transition
+    sample, h_kk included, whether it is within tol)."""
+    pairs = set(data.transitions) | {(k, k) for k in range(data.base.chart_count)}
+    worst = 0.0
+    for k, i in sorted(pairs):
+        h = data.transition_values(k, i)
+        dev = np.abs(np.swapaxes(h.conj(), -2, -1) @ h - np.eye(data.size))
+        worst = max(worst, float(dev.max()))
+    return worst, worst <= tol
+
 
 def _sample_inverse(h):
     """Inverse of every N x N sample: the reciprocal for N = 1."""

@@ -1,4 +1,5 @@
 import struct
+from math import lcm
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from gerbelab.coeffs import CoefficientGroup
 from gerbelab.errors import (DegreeOverflow, NotACocycle, NotU1Cocycle,
                              UnsupportedCoefficient)
 from gerbelab.nerve import build_nerve, random_nerve
-from oracles import (coboundary_matrix, face_by_face_coboundary, integer_cohomology,
-                     kunneth, mod2_cohomology_dim, modp_cohomology_dim)
+from gerbelab.snf import kernel_basis
+from oracles import (act, coboundary_matrix, coeff_eq, face_by_face_coboundary,
+                     integer_cohomology, kunneth, loop_class_order,
+                     mod2_cohomology_dim, modp_cohomology_dim, standard_corpus)
 
 Z = CoefficientGroup.integers()
 ZNEG = CoefficientGroup.integers(involution="negation")
@@ -142,7 +145,7 @@ def test_degree2_condition_matches_multiplicative_identity():
         for idx, (i, j, k, l) in enumerate(nerve.simplices[3]):
             av = lambda t: a.values[nerve.index_of(t)]
             lhs = av((i, j, k)) + av((i, k, l))
-            rhs = sys_.coeff.act(sys_.eps_of(i, j), av((j, k, l))) + av((i, j, l))
+            rhs = act(sys_.coeff, sys_.eps_of(i, j), av((j, k, l))) + av((i, j, l))
             assert (da.values[idx] == 0) == (lhs == rhs)
 
 
@@ -174,7 +177,7 @@ def test_circle_coefficients_unsupported():
 
 
 def test_untwisted_integer_cohomology_matches_oracle_on_corpus():
-    corpus = list(models.standard_corpus().values())
+    corpus = list(standard_corpus().values())
     rng = np.random.default_rng(23)
     corpus += [random_nerve(rng) for _ in range(15)]
     for nerve in corpus:
@@ -202,7 +205,7 @@ def test_twisted_integer_cohomology_matches_oracle():
 
 def test_mod2_cohomology_matches_gf2_oracle():
     rng = np.random.default_rng(31)
-    nerves = list(models.standard_corpus().values()) \
+    nerves = list(standard_corpus().values()) \
         + [random_nerve(rng) for _ in range(10)]
     for nerve in nerves:
         sys_ = TwistedLocalSystem(nerve, MOD2)
@@ -350,6 +353,83 @@ def test_mod_coefficients_roundtrip():
     result = is_coboundary(z, sys_)
     assert result.trivial
     assert coboundary(result.primitive, sys_).values == z.values
+
+
+# --- the order of a class, read from the solve's one scan --------------------
+
+ORDER_NERVES = ("random", "RP2", "RP2xS1")
+ORDER_COEFFICIENTS = {
+    "Z": CoefficientGroup.integers(),
+    "Z~": CoefficientGroup.integers(involution="negation"),
+    "Z/2": CoefficientGroup.integers_mod(2),
+    "Z/4": CoefficientGroup.integers_mod(4),
+    "Z/6": CoefficientGroup.integers_mod(6),
+    "Z/9~": CoefficientGroup.integers_mod(9, involution="negation"),
+}
+
+
+def order_systems(nerve_name, coeff, rng):
+    """Systems over ``coeff`` on twelve random nerves, RP^2 or RP^2 x S^1,
+    twisted when the involution is negation: by a random edge cocycle, or
+    by the sign of RP^2's generator, pulled back to the product."""
+    twisted = coeff.involution == "negation"
+    if nerve_name == "random":
+        nerves = [random_nerve(rng, max_vertices=6, max_cells=6, max_dim=2)
+                  for _ in range(12)]
+        return [TwistedLocalSystem(nerve, coeff, random_twist(nerve, rng) if twisted else None)
+                for nerve in nerves]
+    rp2 = models.rp2_nerve()
+    gen = dict(zip(rp2.simplices[1], models.rp2_generator_cocycle().values))
+    if nerve_name == "RP2":
+        nerve, w1 = rp2, [gen[e] for e in rp2.simplices[1]]
+    else:
+        nerve = models.rp2_cross_circle()
+        w1 = pulled_back_edges(nerve, 3, gen, which=0)
+    eps = {e: -1 for e, g in zip(nerve.simplices[1], w1) if g} if twisted else None
+    return [TwistedLocalSystem(nerve, coeff, eps)]
+
+
+def cocycle_generators(sys_, k):
+    """Cocycles spanning the degree-k cocycles: the integer kernel of d_k,
+    or for Z/n the kernel of [d_k | nI] cut to the k-cochains."""
+    if sys_.coeff.kind == "integers":
+        return kernel_of(sys_.delta_snf(k))
+    count = sys_.nerve.count(k)
+    return [vec[:count] for vec in kernel_basis(sys_.delta_snf_mod(k))]
+
+
+@pytest.mark.parametrize("coeff_name", ORDER_COEFFICIENTS)
+@pytest.mark.parametrize("nerve_name", ORDER_NERVES)
+def test_class_order_equals_the_loop_over_multiples(nerve_name, coeff_name):
+    """z = f sum_j m_j K_j + d b over a spanning set K_j of the cocycles:
+    the order is_coboundary reads from its one solve equals the least m
+    with m z exact (0 when none is), 1 exactly for a trivial class.  Every
+    case meets a class that is not trivial."""
+    rng = np.random.default_rng([ORDER_NERVES.index(nerve_name),
+                                 list(ORDER_COEFFICIENTS).index(coeff_name)])
+    orders = set()
+    for sys_ in order_systems(nerve_name, ORDER_COEFFICIENTS[coeff_name], rng):
+        n = sys_.coeff.modulus
+        for k in (0, 1, 2):
+            if not sys_.nerve.count(k):
+                continue
+            generators = cocycle_generators(sys_, k)
+            bound = n or lcm(1, *sys_.delta_snf(k - 1).diag)
+            for _ in range(6):
+                f = int(rng.integers(0, 4))
+                z = [0] * sys_.nerve.count(k)
+                for vec in generators:
+                    if rng.random() < 0.4:
+                        m = f * int(rng.integers(-3, 4))
+                        z = [a + m * v for a, v in zip(z, vec)]
+                exact = coboundary(random_cochain(sys_, k - 1, rng), sys_)
+                z = cochain(sys_, k, [a + v for a, v in zip(z, exact.values)])
+                result = is_coboundary(z, sys_)
+                expected = loop_class_order(z, sys_, bound)
+                assert result.order == expected, (nerve_name, k, z.values)
+                assert result.trivial == (expected == 1)
+                orders.add(expected)
+    assert orders - {1}
 
 
 def real_systems():
@@ -621,7 +701,7 @@ def test_u1_coboundary_roundtrip():
         result = u1_is_coboundary(z, sys_)
         assert result.trivial
         back = coboundary(result.primitive, sys_)
-        assert all(sys_.coeff.eq(x, y) for x, y in zip(back.values, z.values))
+        assert all(coeff_eq(sys_.coeff, x, y) for x, y in zip(back.values, z.values))
 
 
 def test_u1_rp2_sign_cocycle_is_trivial():
@@ -641,7 +721,7 @@ def test_u1_rp2_sign_cocycle_is_trivial():
     result = u1_is_coboundary(a, sys_)
     assert result.trivial
     back = coboundary(result.primitive, sys_)
-    assert all(sys_.coeff.eq(x, y) for x, y in zip(back.values, a.values))
+    assert all(coeff_eq(sys_.coeff, x, y) for x, y in zip(back.values, a.values))
 
 
 def test_u1_nontrivial_on_rp2_cross_circle():
@@ -718,7 +798,7 @@ def check_u1_answer(sys_, z, result, trivial, stage):
     assert result.trivial == trivial
     if trivial:
         back = coboundary(result.primitive, sys_)
-        assert all(sys_.coeff.eq(x, y) for x, y in zip(back.values, z.values))
+        assert all(coeff_eq(sys_.coeff, x, y) for x, y in zip(back.values, z.values))
         return
     cert = result.certificate
     assert cert.stage == stage

@@ -6,19 +6,20 @@ from gerbelab.coeffs import (Automorphism, CentralExtension, CoefficientGroup,
                              cyclic_central_extension, semidirect_group,
                              semidirect_inv, semidirect_mul, verify_extension)
 from gerbelab.errors import UnsupportedCoefficient
+from oracles import act, coeff_eq
 
 
 def test_coefficient_kinds():
     z = CoefficientGroup.integers(involution="negation")
-    assert z.act(-1, 3) == -3 and z.act(1, 3) == 3
+    assert act(z, -1, 3) == -3 and act(z, 1, 3) == 3
     m2 = CoefficientGroup.integers_mod(2, involution="negation")
     # negation equals identity mod 2
-    assert all(m2.act(-1, v) == m2.act(1, v) for v in (0, 1))
+    assert all(act(m2, -1, v) == act(m2, 1, v) for v in (0, 1))
     circle = CoefficientGroup.circle()
     assert circle.normalize(1.25) == 0.25
     assert circle.is_zero(1.0 - 1e-12)
     reals = CoefficientGroup.reals()
-    assert reals.eq(0.3, 0.3 + 1e-12)
+    assert coeff_eq(reals, 0.3, 0.3 + 1e-12)
 
 
 def test_exact_kinds_reject_tolerance():

@@ -8,14 +8,13 @@ from gerbelab import connection
 from gerbelab.connection import (BundleData, Chart, SampledForm,
                                  chart_forms, chern_number, classifying_point,
                                  curvature, gauge_residual, local_connection,
-                                 radial_profile, trivial_interval_bundle,
-                                 two_arc_circle, two_chart_sphere,
+                                 radial_profile, two_arc_circle, two_chart_sphere,
                                  _derivative, _interpolate, _inverse,
                                  _product, _stencil)
 from gerbelab.errors import (GridTooCoarse, NotClosedSurface,
                              PointOutsideCharts)
 import oracles
-from oracles import winding_number
+from oracles import trivial_interval_bundle, unitarity_report, winding_number
 
 
 def equator_phase_samples(data, n_samples=720):
@@ -447,10 +446,10 @@ def test_corrupted_sample_detected():
 
 def test_unitarity_report_flags_a_corrupted_sample():
     data = two_chart_sphere(1, resolution=60)
-    dev, ok = data.unitarity_report()
+    dev, ok = unitarity_report(data)
     assert ok and dev <= 1e-12
     data.corrupt_sample(0, 1, (30, 40), 1.1)
-    dev, ok = data.unitarity_report()
+    dev, ok = unitarity_report(data)
     assert not ok
 
 

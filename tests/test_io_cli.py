@@ -184,6 +184,8 @@ RP2_MAXIMAL = yaml.safe_load((SAMPLES / "nerve_rp2.yaml").read_text())["maximal"
 LOOP_COEFFICIENTS = yaml.safe_load(
     (SAMPLES / "loop_single_mode.yaml").read_text())["coefficients"]
 REALS = {"set": "reals", "involution": "negation", "tolerance": 1e-9}
+INTEGERS = {"set": "integers", "involution": "negation"}
+MOD2 = {"set": "mod", "modulus": 2}
 # (file, field the message names, keys of the block, a valid block, the path
 # in it to one integer entry, bad values beyond bool, float and str: below 0,
 # or past the group for an extension map)
@@ -213,6 +215,16 @@ BAD_ENTRIES = [
      [5, "0 1 2", None]),
     ("system_circle_mobius.yaml", "coefficients.tolerance", ("coefficients",),
      REALS, ("tolerance",), [True, "0.1", NAN, INF, -1]),
+    # a field the set has no use for: tolerance on an exact set, modulus
+    # on a set other than mod
+    ("system_rp2_mod2.yaml", "coefficients.tolerance", ("coefficients",), MOD2,
+     ("tolerance",), [0.3, 1e-9, 1]),
+    ("system_circle_mobius.yaml", "coefficients.tolerance", ("coefficients",),
+     INTEGERS, ("tolerance",), [0.3]),
+    ("system_circle_mobius.yaml", "coefficients.modulus", ("coefficients",),
+     INTEGERS, ("modulus",), [2, 1]),
+    ("system_circle_mobius.yaml", "coefficients.modulus", ("coefficients",),
+     REALS, ("modulus",), [3]),
     ("loop_single_mode.yaml", "matrix", ("coefficients",), LOOP_COEFFICIENTS,
      (0, "matrix", 0, 0), [True, "1.5", NAN, INF]),
     ("loop_single_mode.yaml", "matrix", ("coefficients",), LOOP_COEFFICIENTS,
@@ -433,14 +445,15 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("argv, solves", [
-    (TWISTED, 1),
-    ([str(SAMPLES / "transition_rp2_z2.yaml"), str(SAMPLES / "extension_z2_z4.yaml")], 2),
+@pytest.mark.parametrize("argv, line", [
+    (TWISTED, "class: TRIVIAL"),
+    ([str(SAMPLES / "transition_rp2_z2.yaml"), str(SAMPLES / "extension_z2_z4.yaml")],
+     "class: NONTRIVIAL (order 2)"),
 ], ids=["trivial-twisted", "nontrivial-order-2"])
-def test_cli_obstruction_computes_each_object_once(monkeypatch, capsys, argv, solves):
+def test_cli_obstruction_computes_each_object_once(monkeypatch, capsys, argv, line):
     """One transition check, one obstruction cochain and one kernel system
-    per run; one solve decides the class, and _class_order adds one solve
-    per multiple only for a non-trivial class."""
+    per run; one solve decides the class and, when it is not trivial,
+    reads its order."""
     from gerbelab import cech, lifting
     counts = {name: count_calls(monkeypatch, module, name)
               for module, name in ((lifting, "check_twisted_cocycle"),
@@ -450,8 +463,8 @@ def test_cli_obstruction_computes_each_object_once(monkeypatch, capsys, argv, so
     assert cli.main(["obstruction", *argv]) == 0
     assert {name: len(calls) for name, calls in counts.items()} == {
         "check_twisted_cocycle": 1, "obstruction": 1, "TwistedLocalSystem": 1,
-        "is_coboundary": solves}
-    assert ("class: TRIVIAL" in capsys.readouterr().out) == (solves == 1)
+        "is_coboundary": 1}
+    assert f"\n{line}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("broken", ["transition", "extension"])
@@ -491,6 +504,23 @@ def test_cli_obstruction_self_check_runs_under_optimize():
     assert proc.returncode == 4
     assert proc.stderr == ("internal error: AssertionError: corrected lifts "
                            "fail the strict cocycle condition\n")
+    assert proc.stdout == ""
+
+
+def test_cli_obstruction_order_self_check_runs_under_optimize():
+    """An order that does not divide the kernel's is a failed self-check,
+    exit 4 also under -O."""
+    script = ("import dataclasses, sys\n"
+              "from gerbelab import cli, lifting\n"
+              "real = lifting.trivialize\n"
+              "lifting.trivialize = lambda r: dataclasses.replace(real(r), order=3)\n"
+              "sys.exit(cli.main(['obstruction', 'sample_inputs/transition_rp2_z2.yaml',"
+              " 'sample_inputs/extension_z2_z4.yaml']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=SAMPLES.parent,
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr == ("internal error: AssertionError: class order 3 does "
+                           "not divide the kernel order 2\n")
     assert proc.stdout == ""
 
 

@@ -13,9 +13,9 @@ from gerbelab.lifting import (LiftChoice, TransitionData, change_lifts,
                               check_gerbe_module, check_twisted_cocycle,
                               lifts_via_section, obstruction, trivialize)
 from gerbelab.nerve import random_nerve
-from oracles import (coboundary_matrix, cup_product, gf2_rank,
+from oracles import (act, coboundary_matrix, cup_product, gf2_rank,
                      hand_written_cocycle_report, hand_written_obstruction,
-                     negated_solve_trivialize, simplex_lists,
+                     loop_class_order, negated_solve_trivialize, simplex_lists,
                      untwisted_obstruction)
 
 Z2 = FiniteGroup.cyclic(2)
@@ -218,7 +218,7 @@ def test_alternate_quadruple_ordering_for_two_torsion():
         nv = sys_.nerve
         for (i, j, k, l) in nv.simplices[3]:
             av = lambda t: a.values[nv.index_of(t)]
-            eps_act = sys_.coeff.act(sys_.eps_of(i, j), av((i, k, l)))
+            eps_act = act(sys_.coeff, sys_.eps_of(i, j), av((i, k, l)))
             alt = (av((j, k, l)) - av((i, j, l)) + av((i, j, k)) - eps_act) % 2
             assert alt == 0
 
@@ -375,6 +375,8 @@ def test_trivialize_matches_the_negated_solve_route_on_the_generator():
             assert (fixed.lifts.values if trivial else None) == expect
             assert fixed.certificate == result.class_result().certificate
             assert (fixed.certificate is None) == trivial
+            assert fixed.order == loop_class_order(result.cochain, result.system,
+                                                   ext.kernel_order) == (1 if trivial else 2)
 
 
 @pytest.mark.parametrize("wrong", [

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_fixed_cases_match_sympy(matrix):
     assert [d for d in snf.diag if d > 1] == torsion
 
 
+def check_order(form, b, order):
+    """``order`` from solve is the least m >= 1 with m b in the image, or 0
+    when no multiple is (then not even lcm(d_i) b is)."""
+    def solvable(m):
+        return solve(form, [m * v for v in b])[1] is None
+    if order == 0:
+        assert not solvable(lcm(1, *form.diag))
+        return
+    assert solvable(order)
+    primes = [p for p in range(2, order + 1)
+              if order % p == 0 and all(p % q for q in range(2, p))]
+    assert not any(solvable(order // p) for p in primes)
+
+
 def sparse(matrix):
     """The {column: value} rows of a dense matrix."""
     return [{j: v for j, v in enumerate(row) if v} for row in matrix]
@@ -111,9 +126,10 @@ def check_sparse_form(matrix, ncols, rng):
     for _ in range(3):
         b = rng.integers(-9, 10, nrows).tolist()
         assert form.apply_s(b) == matvec(s, b)
-        x, cert = solve(form, b)
+        x, cert, order = solve(form, b)
+        check_order(form, b, order)
         if cert is None:
-            assert matvec(matrix, x) == b
+            assert matvec(matrix, x) == b and order == 1
             continue
         assert x is None
         fun, mod, val = cert
@@ -123,8 +139,8 @@ def check_sparse_form(matrix, ncols, rng):
             assert all(v % mod == 0 for v in kills) and pairing % mod == val % mod != 0
         else:
             assert not any(kills) and pairing == val != 0
-        x, cert = solve(form, matvec(matrix, rng.integers(-4, 5, ncols).tolist()))
-        assert cert is None
+        x, cert, order = solve(form, matvec(matrix, rng.integers(-4, 5, ncols).tolist()))
+        assert cert is None and order == 1
     return form
 
 
@@ -165,8 +181,8 @@ def test_sparse_form_edge_shapes(matrix, ncols):
 def test_solve_roundtrip(matrix, x):
     b = matvec(matrix, x)
     snf = smith_normal_form(matrix)
-    got, cert = solve(snf, b)
-    assert got is not None
+    got, cert, order = solve(snf, b)
+    assert got is not None and order == 1
     assert matvec(matrix, got) == b
     assert cert is None
 
@@ -174,8 +190,8 @@ def test_solve_roundtrip(matrix, x):
 def test_unsolvable_has_valid_certificate():
     matrix = [[2, 0], [0, 2]]
     snf = smith_normal_form(matrix)
-    x, cert = solve(snf, [1, 0])
-    assert x is None
+    x, cert, order = solve(snf, [1, 0])
+    assert x is None and order == 2
     fun, mod, val = cert
     assert mod == 2 and val % 2 == 1
     # the functional kills the image mod 2
@@ -209,7 +225,9 @@ def test_smith_form_mod_n_solves_and_spans_kernel(nrows, ncols, n, seed):
         assert all(v % n == 0 for v in matvec(matrix, vec[:ncols]))
     # every b in the image mod n is solved, every other b is certified
     for b in np.ndindex(*(n,) * nrows):
-        x, cert = solve(snf, list(b))
+        x, cert, order = solve(snf, list(b))
+        check_order(snf, list(b), order)
+        assert order and n % order == 0  # [A | nI] has full row rank
         if cert is None:
             assert all((v - w) % n == 0 for v, w in zip(matvec(matrix, x[:ncols]), b))
             continue
