@@ -140,9 +140,8 @@ class TwistedLocalSystem:
         return self._cache[key]
 
     def delta_snf_mod(self, k):
-        """Dense Smith form of [d_k | n I] (snf.smith_normal_form_mod), for
-        solving d_k x = b mod n; its kernel basis cut to the first count(k)
-        entries spans the kernel of d_k mod n."""
+        """Dense Smith form of [d_k | n I] (snf.smith_normal_form_mod), read
+        only by is_coboundary's solve of d_k x = b mod n."""
         n = self.coeff.modulus
         key = ("snf_mod", k, n)
         if key not in self._cache:
@@ -342,12 +341,15 @@ def is_coboundary(z, sys):
     d_{k-1} exactly, is the certificate, of modulus p.  d_{-1} is zero, so
     in degree 0 the primitive is the empty (-1)-cochain and a certificate
     is the indicator of the first vertex where z is not zero.  Raises
-    NotACocycle when z is not closed.
+    NotACocycle when z is not closed; for R/Z that is the NotU1Cocycle of
+    u1_is_coboundary's one pass over d(lift).
     """
+    kind = sys.coeff.kind
+    if kind == CIRCLE:
+        return u1_is_coboundary(z, sys)
     if not is_cocycle(z, sys):
         raise NotACocycle(f"degree-{z.degree} cochain is not closed")
     k = z.degree
-    kind = sys.coeff.kind
     if kind in (INTEGERS, MOD):
         s = sys.delta_snf(k - 1) if kind == INTEGERS else sys.delta_snf_mod(k - 1)
         x, cert, order = _snf.solve(s, z.values)
@@ -356,11 +358,7 @@ def is_coboundary(z, sys):
             return CoboundaryResult(False, None, Certificate(tuple(fun), mod, val), order)
         x = x[:sys.nerve.count(k - 1)]
         return CoboundaryResult(True, cochain(sys, k - 1, x), None, 1)
-    if kind == REALS:
-        return _solve_past_rank(z, sys, 0, max(sys.coeff.tolerance, 1e-12))
-    if kind == CIRCLE:
-        return u1_is_coboundary(z, sys)
-    raise UnsupportedCoefficient(kind)
+    return _solve_past_rank(z, sys, 0, max(sys.coeff.tolerance, 1e-12))
 
 
 def _solve_past_rank(z, sys, period, tol):

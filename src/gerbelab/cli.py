@@ -303,17 +303,15 @@ def _suite_cech(rng):
 
 
 def _random_system(nerve_, coeff, rng):
-    """Random valid twist: a mod-2 kernel element of the edge coboundary."""
-    from . import cech, snf as _snf
+    """Random valid twist: T y mod 2 for S d_1 T = D of the untwisted
+    integer edges, y random mod 2 where d_j is even or j is past the rank
+    and 0 elsewhere, so d(T y) = S^-1 D y is 0 mod 2."""
+    from . import cech
     from .coeffs import CoefficientGroup
-    mod2 = cech.TwistedLocalSystem(nerve_, CoefficientGroup.integers_mod(2))
-    basis = _snf.kernel_basis(mod2.delta_snf_mod(1))
-    signs = [0] * nerve_.count(1)
-    for vec in basis:
-        if rng.integers(2):
-            signs = [(a + b) % 2 for a, b in zip(signs, vec[:len(signs)])]
-    eps = {e: -1 if signs[i] else 1
-           for i, e in enumerate(nerve_.simplices[1])}
+    s = cech.TwistedLocalSystem(nerve_, CoefficientGroup.integers()).delta_snf(1)
+    y = [int(rng.integers(2)) if j >= s.rank or s.diag[j] % 2 == 0 else 0
+         for j in range(s.ncols)]
+    eps = {e: -1 if v % 2 else 1 for e, v in zip(nerve_.simplices[1], s.apply_t(y))}
     return cech.TwistedLocalSystem(nerve_, coeff, eps)
 
 

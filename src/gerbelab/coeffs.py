@@ -39,8 +39,8 @@ class CoefficientGroup:
         if kind == MOD:
             if not isinstance(modulus, int) or modulus < 1:
                 raise UnsupportedCoefficient("mod coefficients need modulus >= 1")
-        else:
-            modulus = None
+        elif modulus is not None:
+            raise UnsupportedCoefficient(f"{kind} coefficients take no modulus")
         if involution not in (IDENTITY, NEGATION):
             raise UnsupportedCoefficient(f"unknown involution {involution!r}")
         tolerance = float(tolerance)
@@ -135,9 +135,9 @@ class FiniteGroup:
     fine at table sizes used here).
     """
 
-    __slots__ = ("order", "table", "identity", "inverse", "names")
+    __slots__ = ("order", "table", "identity", "inverse")
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         table = tuple(tuple(int(x) for x in row) for row in table)
         n = len(table)
         if any(len(row) != n for row in table):
@@ -169,7 +169,6 @@ class FiniteGroup:
         self.table = table
         self.identity = identity
         self.inverse = tuple(inverse)
-        self.names = tuple(names) if names else tuple(str(i) for i in range(n))
 
     @classmethod
     def cyclic(cls, n):
@@ -256,8 +255,7 @@ def semidirect_group(group, sigma):
 
     table = [[enc(semidirect_mul(dec(a), dec(b), sigma)) for b in range(2 * n)]
              for a in range(2 * n)]
-    names = [f"({group.names[i % n]},{'-' if i >= n else '+'})" for i in range(2 * n)]
-    return FiniteGroup(table, names=names)
+    return FiniteGroup(table)
 
 
 @dataclass(frozen=True)

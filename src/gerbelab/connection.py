@@ -72,9 +72,8 @@ class Chart:
     def shape(self):
         return tuple(n for _, _, n in self.axes)
 
-    def contains(self, point, margin=0.0):
-        return all(lo + margin <= x <= hi - margin
-                   for x, (lo, hi, _) in zip(point, self.axes))
+    def contains(self, point):
+        return all(lo <= x <= hi for x, (lo, hi, _) in zip(point, self.axes))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ class NotACocycle(GerbeError):
     """Input cochain fails the (twisted) cocycle condition."""
 
 
-class NotU1Cocycle(GerbeError):
+class NotU1Cocycle(NotACocycle):
     """Circle-valued cochain is not closed modulo 1 within tolerance."""
 
 

@@ -2,12 +2,13 @@
 
 All builders return plain Nerve objects: the three-arc circle, boundaries
 of simplices (sphere models), the minimal 6-vertex triangulation of the
-real projective plane, and ordered products such as RP^2 x S^1.
+real projective plane, and ordered products such as RP^2 x S^1.  The
+order-2 witnesses read T e_i for a factor d_i = 2 of a sparse Smith form.
 """
 
 from itertools import combinations
 
-from . import cech, snf as _snf
+from . import cech
 from .cech import TwistedLocalSystem
 from .coeffs import CoefficientGroup
 from .nerve import Nerve, build_nerve
@@ -101,22 +102,24 @@ def rp2_cross_circle():
     return ordered_product(rp2_nerve(), circle_nerve())
 
 
-def rp2_generator_cocycle(system=None):
-    """A mod-2 edge cocycle generating H^1 of the 6-vertex RP^2.
+def _order_two_column(system, k):
+    """T e_i for the first factor d_i = 2 of S d_k T = D, system.delta_snf(k):
+    d(T e_i) = 2 S^-1 e_i, twice an integer cocycle of order exactly 2."""
+    s = system.delta_snf(k)
+    if 2 not in s.diag:
+        raise ValueError(f"nerve has no 2-torsion in degree-{k + 1} cohomology")
+    i = s.diag.index(2)
+    return s.apply_t([int(j == i) for j in range(s.ncols)])
 
-    Derived, not hardcoded: solve for a kernel vector of the mod-2
-    coboundary that is not itself a coboundary.
+
+def rp2_generator_cocycle(system=None):
+    """A mod-2 edge cocycle generating H^1 of the 6-vertex RP^2: T e_i mod 2
+    for the factor d_i = 2 of the untwisted integer d_1 (mod 2 the twist is
+    invisible).  It is not exact: T e_i = d b + 2 c would give d c = S^-1 e_i.
     """
     system = system or TwistedLocalSystem(rp2_nerve(), CoefficientGroup.integers_mod(2))
-    # mod-2 kernel of d_1: integer kernel of [d_1 | 2I] projected
-    ncols = system.nerve.count(1)
-    for vec in _snf.kernel_basis(system.delta_snf_mod(1)):
-        candidate = cech.cochain(system, 1, vec[:ncols])
-        if any(candidate.values):
-            result = cech.is_coboundary(candidate, system)
-            if not result.trivial:
-                return candidate
-    raise AssertionError("RP^2 must carry a nontrivial mod-2 1-cocycle")
+    integral = system.with_coefficients(CoefficientGroup.integers())
+    return cech.cochain(system, 1, [v % 2 for v in _order_two_column(integral, 1)])
 
 
 def half_integer_two_cocycle(system):
@@ -126,16 +129,10 @@ def half_integer_two_cocycle(system):
     Exact, from the sparse Smith form S d_2 T = D: for an invariant factor
     d_i = 2, x = T e_i / 2 has d x = S^-1 e_i, an integer 3-cocycle of
     order exactly 2.  So x mod 1, with values in {0, 1/2}, is a circle
-    cocycle with that Bockstein.  T e_i is one back-substitution through
-    the recorded elimination.  d_3 is never read, so the nerve may have
+    cocycle with that Bockstein.  d_3 is never read, so the nerve may have
     4-simplices.
     """
-    s = system.delta_snf(2)
-    order2 = [i for i, d in enumerate(s.diag) if d == 2]
-    if not order2:
-        raise ValueError("nerve has no 2-torsion in degree-3 cohomology")
-    column = s.apply_t([int(j == order2[0]) for j in range(s.ncols)])
+    column = _order_two_column(system, 2)
     circle_sys = system.with_coefficients(
         CoefficientGroup.circle(involution=system.coeff.involution))
     return cech.cochain(circle_sys, 2, [v % 2 / 2 for v in column]), circle_sys
-

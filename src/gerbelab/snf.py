@@ -12,8 +12,8 @@ behind the coboundaries: +-1 pivots first on sparse rows, its row
 operations recorded instead of multiplied out, and the dense
 ``smith_normal_form`` only for the small block left without a unit (Dumas,
 Saunders and Villard, J. Symbolic Comput. 32, 2001).  The dense form with
-explicit S, S^-1 and T also serves [A | nI] for solving mod n; that is the
-one place where sparse rows are written out densely.
+explicit S, S^-1 and T also serves [A | nI], for the solve mod n only;
+that is the one place where sparse rows are written out densely.
 """
 
 from heapq import heappop, heappush
@@ -167,8 +167,7 @@ def smith_normal_form(matrix, ncols=None):
 def smith_normal_form_mod(rows, n, ncols):
     """Dense Smith form of [A | n I] for A given as sparse {column: value}
     rows with ``ncols`` columns.  Solving against it solves A x = b mod n
-    (keep the first ``ncols`` entries of x), and its kernel basis cut to
-    those entries spans the kernel of A mod n.
+    (keep the first ``ncols`` entries of x); that solve is its one use.
     """
     nrows = len(rows)
     dense = [[row.get(j, 0) for j in range(ncols)] + [n if j == i else 0 for j in range(nrows)]

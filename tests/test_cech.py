@@ -12,8 +12,8 @@ from gerbelab.cech import (Certificate, Cochain, TwistedLocalSystem, bockstein_d
                            coboundary, cohomology, is_coboundary, is_cocycle,
                            random_cochain, u1_is_coboundary, zero_cochain)
 from gerbelab.coeffs import CoefficientGroup
-from gerbelab.errors import (DegreeOverflow, NotACocycle, NotU1Cocycle,
-                             UnsupportedCoefficient)
+from gerbelab.errors import (DegreeOverflow, LiftNotIntegral, NotACocycle,
+                             NotU1Cocycle, UnsupportedCoefficient)
 from gerbelab.nerve import build_nerve, random_nerve
 from gerbelab.snf import kernel_basis
 from oracles import (act, coboundary_matrix, coeff_eq, face_by_face_coboundary,
@@ -672,6 +672,34 @@ def test_half_integer_two_cocycle_is_exact():
     assert result.group.torsion == (2,)
 
 
+def test_order_two_witnesses_read_one_column_and_never_solve(monkeypatch):
+    """The RP^2 generator and the half-integer 2-cocycle both come from
+    models._order_two_column (T e_i for a factor d_i = 2 of the sparse
+    form): no is_coboundary call and no dense [d | nI] form.  The generator
+    is closed mod 2 and not exact, twisted or not."""
+    from gerbelab import cech, snf
+    read, solves, dense = [], [], []
+    real_column = models._order_two_column
+    monkeypatch.setattr(models, "_order_two_column", lambda s, k:
+                        read.append(k) or real_column(s, k))
+    monkeypatch.setattr(cech, "is_coboundary", lambda *a: solves.append(a))
+    monkeypatch.setattr(snf, "smith_normal_form_mod", lambda *a: dense.append(a))
+    monkeypatch.setattr(TwistedLocalSystem, "delta_snf_mod", lambda *a: dense.append(a))
+    rp2 = models.rp2_nerve()
+    plain = models.rp2_generator_cocycle()
+    twisted_sys = TwistedLocalSystem(
+        rp2, CoefficientGroup.integers_mod(2, involution="negation"),
+        {e: -1 for e, g in zip(rp2.simplices[1], plain.values) if g})
+    twisted = models.rp2_generator_cocycle(twisted_sys)
+    models.half_integer_two_cocycle(TwistedLocalSystem(models.rp2_cross_circle(), Z))
+    assert (read, solves, dense) == ([1, 1, 2], [], [])
+    monkeypatch.undo()
+    for sys_, gen in ((TwistedLocalSystem(rp2, MOD2), plain), (twisted_sys, twisted)):
+        assert is_cocycle(gen, sys_)
+        result = is_coboundary(gen, sys_)
+        assert not result.trivial and result.order == 2
+
+
 def test_dd_class_stable_under_u1_coboundary():
     rng = np.random.default_rng(47)
     prod = models.rp2_cross_circle()
@@ -731,6 +759,41 @@ def test_u1_nontrivial_on_rp2_cross_circle():
     result = u1_is_coboundary(a, circle_sys)
     assert not result.trivial
     assert result.certificate.stage == "dixmier-douady"
+
+
+def test_circle_is_coboundary_takes_one_closedness_pass(monkeypatch):
+    """A trivial circle 2-cocycle on RP^2 x S^1 costs three coboundaries:
+    d(lift), the closedness of its rounding and the primitive's self-check.
+    A cochain that is not closed mod 1 is still a NotACocycle."""
+    from gerbelab import cech
+    rng = np.random.default_rng(5)
+    sys_ = circle_system(models.rp2_cross_circle())
+    a = coboundary(random_cochain(sys_, 1, rng), sys_)
+    calls = []
+    real = cech.coboundary
+    monkeypatch.setattr(cech, "coboundary", lambda *args: calls.append(1) or real(*args))
+    assert is_coboundary(a, sys_).trivial
+    assert len(calls) == 3
+    bad = cochain(sys_, 2, [0.3] + list(a.values[1:]))
+    with pytest.raises(NotACocycle) as info:
+        is_coboundary(bad, sys_)
+    assert isinstance(info.value, NotU1Cocycle)
+
+
+def test_rounded_coboundary_that_is_not_closed_raises_lift_not_integral():
+    """On one tetrahedron with circle tolerance 0.35, d(lift) =
+    (-0.7, -0.3, 0.2, -0.2) is within tolerance of integers, but its
+    rounding (-1, 0, 0, 0) is not closed."""
+    sys_ = TwistedLocalSystem(build_nerve([(0, 1, 2, 3)]),
+                              CoefficientGroup.circle(tolerance=0.35))
+    # edges 01 02 03 12 13 23
+    z = cochain(sys_, 1, [0.1, 0.8, 0.7, 0.0, 0.3, 0.1])
+    lift = TwistedLocalSystem(sys_.nerve, CoefficientGroup.reals())
+    assert np.allclose(coboundary(Cochain(1, z.values), lift).values,
+                       (-0.7, -0.3, 0.2, -0.2))
+    for check in (u1_is_coboundary, is_coboundary):
+        with pytest.raises(LiftNotIntegral):
+            check(z, sys_)
 
 
 # --- circle-valued triviality from one integer Smith form --------------------

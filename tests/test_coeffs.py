@@ -27,6 +27,13 @@ def test_exact_kinds_reject_tolerance():
         CoefficientGroup("integers", tolerance=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["integers", "reals", "circle"])
+def test_modulus_outside_mod_rejected(kind):
+    with pytest.raises(UnsupportedCoefficient, match="take no modulus"):
+        CoefficientGroup(kind, modulus=2)
+    assert CoefficientGroup(kind).modulus is None
+
+
 @pytest.mark.parametrize("kind", ["reals", "circle"])
 def test_negative_tolerance_rejected(kind):
     with pytest.raises(UnsupportedCoefficient):

@@ -11,7 +11,7 @@ from gerbelab.connection import (BundleData, Chart, SampledForm,
                                  radial_profile, two_arc_circle, two_chart_sphere,
                                  _derivative, _interpolate, _inverse,
                                  _product, _stencil)
-from gerbelab.errors import (GridTooCoarse, NotClosedSurface,
+from gerbelab.errors import (GridTooCoarse, NoOverlap, NotClosedSurface,
                              PointOutsideCharts)
 import oracles
 from oracles import trivial_interval_bundle, unitarity_report, winding_number
@@ -409,6 +409,11 @@ def test_gauge_residual_differentiates_no_full_grid(monkeypatch):
     monkeypatch.setattr(np, "gradient", spy)
     monkeypatch.setattr(connection, "_derivative", spy)
     assert gauge_residual(data, 0, 1, forms) == expected
+
+
+def test_gauge_residual_needs_an_overlap():
+    with pytest.raises(NoOverlap, match="do not overlap"):
+        gauge_residual(two_chart_sphere(1, resolution=16), 0, 0)
 
 
 @pytest.mark.parametrize("form", [0, 1])

@@ -8,7 +8,8 @@ from gerbelab.cech import (TwistedLocalSystem, cochain, cochain_sub,
 from gerbelab.coeffs import (Automorphism, CentralExtension, CoefficientGroup,
                              FiniteGroup, cyclic_central_extension,
                              semidirect_inv, SemidirectElement, semidirect_mul)
-from gerbelab.errors import LiftMismatch, NotACocycle, ShapeMismatch
+from gerbelab.errors import (LiftMismatch, NotACocycle, ShapeMismatch,
+                             ValueNotInKernel)
 from gerbelab.lifting import (LiftChoice, TransitionData, change_lifts,
                               check_gerbe_module, check_twisted_cocycle,
                               lifts_via_section, obstruction, trivialize)
@@ -166,6 +167,16 @@ def test_lift_mismatch_detected():
     bad = LiftChoice(tuple(0 for _ in td.nerve.simplices[1]))
     with pytest.raises(LiftMismatch):
         obstruction(td, ext, bad)
+
+
+def test_obstruction_outside_the_declared_kernel_rejected():
+    """Z/2 -> Z/4 -> Z/2 declared with the kernel {0} only: the RP^2
+    generator's obstruction takes the central value 2, which the extension
+    does not list."""
+    z4 = FiniteGroup.cyclic(4)
+    ext = CentralExtension(z4, Z2, [x % 2 for x in range(4)], [0, 1], kernel=[0])
+    with pytest.raises(ValueNotInKernel, match="outside the kernel"):
+        obstruction(rp2_transition(), ext)
 
 
 def test_broken_cocycle_rejected():
