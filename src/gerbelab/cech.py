@@ -141,7 +141,9 @@ class TwistedLocalSystem:
 
     def delta_snf_mod(self, k):
         """Dense Smith form of [d_k | n I] (snf.smith_normal_form_mod), read
-        only by is_coboundary's solve of d_k x = b mod n."""
+        only by is_coboundary's solve of d_k x = b mod n.  It stores D, the
+        recorded row operations that apply S and S^-1, and the non-zero
+        entries of T; its dense S, S^-1 and T are built only when read."""
         n = self.coeff.modulus
         key = ("snf_mod", k, n)
         if key not in self._cache:

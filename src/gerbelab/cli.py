@@ -3,7 +3,8 @@
 Reports are plain ``key: value`` lines with fixed float formatting, so a
 rerun on the same inputs is byte-identical; ``--machine-readable`` emits
 the same data as sorted JSON.  Exit codes: 0 success, 2 parse/validation
-failure, 3 mathematical invariant violation, 4 internal error (a failed
+failure, 3 mathematical invariant violation (also a FAIL verdict, decided
+in ``Report.emit`` once the report is printed), 4 internal error (a failed
 self-check).
 
 Each command imports the layers it runs, so importing this module loads
@@ -50,6 +51,7 @@ class Report:
     def __init__(self, command):
         self.lines = []
         self.data = {"command": command}
+        self.failed = False
         self.add("command", command)
 
     def add(self, key, value, raw=None):
@@ -60,6 +62,11 @@ class Report:
             raw = [raw.real, raw.imag]
         self.data[key] = raw
 
+    def verdict(self, passed, raw=None):
+        """The PASS/FAIL line; a FAIL exits 3 once the report is printed."""
+        self.failed = not passed
+        self.add("verdict", "PASS" if passed else "FAIL", raw)
+
     def emit(self, machine):
         if machine:
             import json
@@ -67,6 +74,8 @@ class Report:
                                         default=_fmt) + "\n")
         else:
             sys.stdout.write("".join(f"{k}: {v}\n" for k, v in self.lines))
+        if self.failed:
+            raise GerbeError(f"{self.data['command']}: verdict FAIL")
 
 
 def _input_line(report, label, path):
@@ -189,20 +198,19 @@ def cmd_schwinger(args):
             report.add("residue", residue)
             dev = abs(traces[base] - residue)
             report.add("trace-vs-residue", dev)
-            report.add("verdict",
-                       "PASS" if dev <= 1e-10 * scale else "FAIL",
-                       raw=bool(dev <= 1e-10 * scale))
+            passed = bool(dev <= 1e-10 * scale)
+            report.verdict(passed, raw=passed)
     elif args.mode == "identity":
         defect = schwinger.cocycle_identity_defect(*loops)
         report.add("cyclic-defect", defect)
         report.add("tolerance", 1e-10 * scale)
-        report.add("verdict", "PASS" if defect <= 1e-10 * scale else "FAIL")
+        report.verdict(defect <= 1e-10 * scale)
     elif args.mode == "jacobi":
         elems = [schwinger.CentralElement(x, 0.0) for x in loops]
         defect = schwinger.jacobi_defect(*elems)
         report.add("jacobi-defect", defect)
         report.add("tolerance", 1e-10 * scale)
-        report.add("verdict", "PASS" if defect <= 1e-10 * scale else "FAIL")
+        report.verdict(defect <= 1e-10 * scale)
     elif args.mode == "defect":
         X = loops[0]
         K = X.band + 3 if args.truncation is None else args.truncation
@@ -210,8 +218,7 @@ def cmd_schwinger(args):
         report.add("truncation", K)
         report.add("window", result.window)
         report.add("interior-deviation", result.interior_deviation)
-        report.add("verdict",
-                   "PASS" if result.interior_deviation <= 1e-12 else "FAIL")
+        report.verdict(result.interior_deviation <= 1e-12)
     elif args.mode == "curvature":
         X, Y = loops
         K = 2 * band + 2 if args.truncation is None else args.truncation
@@ -222,7 +229,7 @@ def cmd_schwinger(args):
         report.add("curvature-norm", float(np.max(np.abs(result.matrix))))
         anti = float(np.max(np.abs(result.matrix + flipped.matrix)))
         report.add("antisymmetry-defect", anti)
-        report.add("verdict", "PASS" if anti <= 1e-10 * scale else "FAIL")
+        report.verdict(anti <= 1e-10 * scale)
     report.emit(args.machine_readable)
     return 0
 
@@ -259,7 +266,7 @@ def cmd_chern(args):
     report.add("chern", value)
     report.add("nearest-integer", nearest)
     report.add("deviation", abs(value - nearest))
-    report.add("verdict", "PASS" if abs(value - nearest) <= 1e-3 else "FAIL")
+    report.verdict(abs(value - nearest) <= 1e-3)
     report.emit(args.machine_readable)
     return 0
 

@@ -1,57 +1,134 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Smith normal form with unimodular transforms, kernel bases, and an
-integer solve that returns either a solution or an image-membership
-certificate, with the order of the right-hand side in the cokernel, from
-one scan of S b.  Dense matrices are lists of lists of Python ints;
-sparse ones are lists of {column: value} rows.
+Smith normal form with unimodular transforms and an integer solve that
+returns either a solution or an image-membership certificate, with the
+order of the right-hand side in the cokernel, from one scan of S b.
+Dense matrices are lists of lists of Python ints; sparse ones are lists
+of {column: value} rows.
 
-Two forms share one interface (``apply_s``, ``row_of_s``, ``apply_t``),
-so ``solve`` reads either.  ``SparseSmithForm`` is the one elimination
-behind the coboundaries: +-1 pivots first on sparse rows, its row
-operations recorded instead of multiplied out, and the dense
-``smith_normal_form`` only for the small block left without a unit (Dumas,
-Saunders and Villard, J. Symbolic Comput. 32, 2001).  The dense form with
-explicit S, S^-1 and T also serves [A | nI], for the solve mod n only;
-that is the one place where sparse rows are written out densely.
+Two forms share one interface (``apply_s``, ``row_of_s``, ``apply_s_inv``,
+``apply_t``), so ``solve`` reads either.  Neither multiplies by a full S or
+S^-1: both keep the row operations of their elimination as (target row,
+pivot row, multiplier) triples and replay them, forward for S, transposed
+in reverse for a row of S and inverted in reverse for S^-1, in the manner
+of Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001).
+``SparseSmithForm`` is the one elimination behind the coboundaries: +-1
+pivots first on sparse rows, and the dense ``smith_normal_form`` only for
+the small block left without a unit.  The dense form keeps D, its recorded
+row operations and the non-zero entries of T; it also serves [A | nI], for
+the solve mod n only, the one place where sparse rows are written out
+densely.
 """
 
 from heapq import heappop, heappush
 from math import gcd, lcm
 
 
+# Recorded row operations L: each triple (t, i, q) replaces row t by
+# row t - q row i.  Each helper works in place.
+
+def _replay(ops, v):
+    """v <- L v: the operations in order."""
+    for t, i, q in ops:
+        v[t] -= q * v[i]
+
+
+def _replay_transposed(ops, g):
+    """g <- g L: the transposed operations in reverse order."""
+    for t, i, q in reversed(ops):
+        if g[t]:
+            g[i] -= q * g[t]
+
+
+def _replay_inverse(ops, v):
+    """v <- L^-1 v: the inverse operations in reverse order."""
+    for t, i, q in reversed(ops):
+        v[t] += q * v[i]
+
+
 class SmithForm:
     """D = S @ A @ T with S, T unimodular and D diagonal, d_i | d_{i+1}.
 
     ``diag`` holds the nonzero invariant factors (all positive), ``rank``
-    their count.  ``s_inv`` is the inverse of ``S``: the image of A is
-    spanned by d_i times its i-th column, so that column has order d_i in
-    the cokernel.
+    their count.  S is kept as the elimination's row operations: triples
+    (t, i, q), each replacing row t by row t - q row i of the rows of A as
+    first labelled, then the label and sign of the row that ends at each
+    position.  T is kept by its non-zero entries, one {row: value} dict per
+    column.  The methods apply S, S^-1 and T to a vector and give one row
+    of S; the column of S^-1 at i has order d_i in the cokernel, since the
+    image of A is spanned by d_i times it.  The dense ``s``, ``s_inv`` and
+    ``t`` are built each time they are read, for tests and tracing; no
+    solve reads them.
     """
 
-    __slots__ = ("nrows", "ncols", "diag", "rank", "s", "s_inv", "t")
+    __slots__ = ("nrows", "ncols", "diag", "rank", "_ops", "_order", "_signs",
+                 "_t_cols")
 
-    def __init__(self, nrows, ncols, diag, s, s_inv, t):
+    def __init__(self, nrows, ncols, diag, ops, order, signs, t_cols):
         self.nrows = nrows
         self.ncols = ncols
         self.diag = diag
         self.rank = len(diag)
-        self.s = s
-        self.s_inv = s_inv
-        self.t = t
+        self._ops, self._order, self._signs = ops, order, signs
+        self._t_cols = t_cols
 
     def apply_s(self, b):
-        return matvec(self.s, b)
+        """S b: the row operations in order, then the rows' order and signs."""
+        v = list(b)
+        _replay(self._ops, v)
+        return [p * v[i] for i, p in zip(self._order, self._signs)]
 
-    def row_of_s(self, i):
-        return list(self.s[i])
+    def row_of_s(self, k):
+        """Row k of S: e_k S, by the transposed row operations in reverse
+        order."""
+        g = [0] * self.nrows
+        g[self._order[k]] = self._signs[k]
+        _replay_transposed(self._ops, g)
+        return g
+
+    def apply_s_inv(self, w):
+        """S^-1 w: the rows' signs and order undone, then the inverse row
+        operations in reverse order."""
+        v = [0] * self.nrows
+        for i, p, x in zip(self._order, self._signs, w):
+            v[i] = p * x
+        _replay_inverse(self._ops, v)
+        return v
 
     def apply_t(self, y):
-        return matvec(self.t, y)
+        """T y, from the non-zero entries of the columns that y weights."""
+        x = [0] * self.ncols
+        for col, c in zip(self._t_cols, y):
+            if c:
+                for r, v in col.items():
+                    x[r] += v * c
+        return x
+
+    @property
+    def s(self):
+        return [self.row_of_s(k) for k in range(self.nrows)]
+
+    @property
+    def s_inv(self):
+        return [list(row) for row in zip(*(
+            self.apply_s_inv([int(i == k) for i in range(self.nrows)])
+            for k in range(self.nrows)))]
+
+    @property
+    def t(self):
+        t = [[0] * self.ncols for _ in range(self.ncols)]
+        for j, col in enumerate(self._t_cols):
+            for r, v in col.items():
+                t[r][j] = v
+        return t
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _first_offender(m, k, d):
+    """The first row past k with an entry past column k that d does not
+    divide, or None."""
+    ncols = len(m[k])
+    return next((i for i in range(k + 1, len(m))
+                 if any(m[i][j] % d for j in range(k + 1, ncols))), None)
 
 
 def smith_normal_form(matrix, ncols=None):
@@ -60,49 +137,47 @@ def smith_normal_form(matrix, ncols=None):
     Returns a SmithForm.  The input is not modified.  ``ncols`` must be
     passed explicitly when the matrix has no rows (a zero map out of a
     nonzero space still has a kernel).
+
+    A floor, |d| of the last finished pivot (1 before the first), divides
+    every entry left, since every later entry is an integer combination of
+    entries it divided.  So a pivot equal to the floor divides the whole
+    submatrix without a scan, and the pivot search stops at the first
+    entry of absolute value the floor, the one a full search picks.  Row
+    operations are recorded on the rows of A as first labelled: a swap
+    exchanges labels, and a sign is kept per position, because a row is
+    negated only once its pivot is finished and no later operation
+    touches it.  The column operations build T densely, one list per
+    column, and only its non-zero entries are kept.
     """
     m = [list(map(int, row)) for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else (ncols or 0)
-    s = _identity(nrows)
-    s_inv = _identity(nrows)
-    t = _identity(ncols)
+    order = list(range(nrows))  # the label of the row at each position
+    signs = [1] * nrows
+    ops = []
+    t_cols = [[int(r == j) for r in range(ncols)] for j in range(ncols)]
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
-        s[i], s[j] = s[j], s[i]
-        for r in range(nrows):
-            s_inv[r][i], s_inv[r][j] = s_inv[r][j], s_inv[r][i]
+        order[i], order[j] = order[j], order[i]
 
     def col_swap(i, j):
         for r in range(nrows):
             m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(ncols):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
+        t_cols[i], t_cols[j] = t_cols[j], t_cols[i]
 
     def row_addmul(i, j, q):
         # row i += q * row j
         mi, mj = m[i], m[j]
         for c in range(ncols):
             mi[c] += q * mj[c]
-        si, sj = s[i], s[j]
-        for c in range(nrows):
-            si[c] += q * sj[c]
-        for r in range(nrows):
-            s_inv[r][j] -= q * s_inv[r][i]
+        ops.append((order[i], order[j], -q))
 
     def col_addmul(j, i, q):
         # col j += q * col i
         for r in range(nrows):
             m[r][j] += q * m[r][i]
-        for r in range(ncols):
-            t[r][j] += q * t[r][i]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        s[i] = [-x for x in s[i]]
-        for r in range(nrows):
-            s_inv[r][i] = -s_inv[r][i]
+        t_cols[j] = [a + q * b for a, b in zip(t_cols[j], t_cols[i])]
 
     def find_pivot(k):
         best = None
@@ -111,11 +186,12 @@ def smith_normal_form(matrix, ncols=None):
                 v = m[i][j]
                 if v and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j)
-                    if best[0] == 1:
+                    if best[0] == floor:
                         return best
         return best
 
     k = 0
+    floor = 1
     limit = min(nrows, ncols)
     while k < limit:
         best = find_pivot(k)
@@ -145,23 +221,24 @@ def smith_normal_form(matrix, ncols=None):
                         changed = True
             if not changed:
                 break
-        # pivot must divide the rest of the submatrix; a unit always does
+        # the pivot must divide the rest of the submatrix; one equal to the
+        # floor does
         d = m[k][k]
-        offender = None
-        if abs(d) != 1:
-            offender = next((i for i in range(k + 1, nrows)
-                             if any(m[i][j] % d for j in range(k + 1, ncols))), None)
-        if offender is not None:
-            row_addmul(k, offender, 1)
-            continue  # redo this k with the enlarged row
+        if abs(d) != floor:
+            offender = _first_offender(m, k, d)
+            if offender is not None:
+                row_addmul(k, offender, 1)
+                continue  # redo this k with the enlarged row
+        floor = abs(d)
         if d < 0:
-            negate_row(k)
+            signs[k] = -1
         k += 1
 
     # every pivot divides the submatrix left after it, so the later pivots
     # (integer combinations of its entries) keep the chain d_i | d_{i+1}
-    diag = [m[i][i] for i in range(k)]
-    return SmithForm(nrows, ncols, diag, s, s_inv, t)
+    diag = [abs(m[i][i]) for i in range(k)]
+    t_cols = [{r: v for r, v in enumerate(col) if v} for col in t_cols]
+    return SmithForm(nrows, ncols, diag, ops, order, signs, t_cols)
 
 
 def smith_normal_form_mod(rows, n, ncols):
@@ -192,9 +269,9 @@ class SparseSmithForm:
     L A holds the pivot rows, the block and zero rows, and the methods
     below apply S, S^-1 and T to a vector (or give one row of S) by
     forward application of L, back-substitution through the pivot rows and
-    the block's dense transforms.  The order of S is pivots, then the
-    block, then the zero rows by row index; past the rank come the
-    block's rows past its rank and the zero rows.
+    the same four methods of the block's form.  The order of S is pivots,
+    then the block, then the zero rows by row index; past the rank come
+    the block's rows past its rank and the zero rows.
     """
 
     __slots__ = ("nrows", "ncols", "diag", "rank", "_ops", "_pivots",
@@ -260,10 +337,9 @@ class SparseSmithForm:
     def apply_s(self, b):
         """S b, by the recorded row operations in order, then the block's S."""
         v = list(b)
-        for t, i, q in self._ops:
-            v[t] -= q * v[i]
+        _replay(self._ops, v)
         return ([p * v[i] for i, _, p, _ in self._pivots]
-                + matvec(self._block.s, [v[i] for i in self._block_rows])
+                + self._block.apply_s([v[i] for i in self._block_rows])
                 + [v[i] for i in self._zero_rows])
 
     def row_of_s(self, k):
@@ -275,13 +351,11 @@ class SparseSmithForm:
             i, _, p, _ = self._pivots[k]
             g[i] = p
         elif k < u + m:
-            for i, v in zip(self._block_rows, self._block.s[k - u]):
+            for i, v in zip(self._block_rows, self._block.row_of_s(k - u)):
                 g[i] = v
         else:
             g[self._zero_rows[k - u - m]] = 1
-        for t, i, q in reversed(self._ops):
-            if g[t]:
-                g[i] -= q * g[t]
+        _replay_transposed(self._ops, g)
         return g
 
     def apply_s_inv(self, w):
@@ -291,12 +365,11 @@ class SparseSmithForm:
         v = [0] * self.nrows
         for (i, _, p, _), x in zip(self._pivots, w):
             v[i] = p * x
-        for i, x in zip(self._block_rows, matvec(self._block.s_inv, w[u:u + m])):
+        for i, x in zip(self._block_rows, self._block.apply_s_inv(w[u:u + m])):
             v[i] = x
         for i, x in zip(self._zero_rows, w[u + m:]):
             v[i] = x
-        for t, i, q in reversed(self._ops):
-            v[t] += q * v[i]
+        _replay_inverse(self._ops, v)
         return v
 
     def apply_t(self, y):
@@ -304,7 +377,7 @@ class SparseSmithForm:
         through the pivot rows, last pivot first."""
         u, n = len(self._pivots), len(self._block_cols)
         x = [0] * self.ncols
-        for j, v in zip(self._block_cols, matvec(self._block.t, y[u:u + n])):
+        for j, v in zip(self._block_cols, self._block.apply_t(y[u:u + n])):
             x[j] = v
         for j, v in zip(self._free_cols, y[u + n:]):
             x[j] = v
@@ -312,10 +385,6 @@ class SparseSmithForm:
             _, j, p, row = self._pivots[k]  # x[j] is still 0 in the sum
             x[j] = y[k] - p * sum(v * x[c] for c, v in row.items())
         return x
-
-
-def matvec(matrix, vec):
-    return [sum(a * b for a, b in zip(row, vec)) for row in matrix]
 
 
 def solve(snf, b):
@@ -347,8 +416,3 @@ def solve(snf, b):
         return None, cert, order
     return snf.apply_t(y), None, 1
 
-
-def kernel_basis(snf):
-    """Basis of the integer kernel lattice of A (columns of T past the rank)."""
-    return [[snf.t[r][j] for r in range(snf.ncols)]
-            for j in range(snf.rank, snf.ncols)]

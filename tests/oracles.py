@@ -522,3 +522,108 @@ def full_grid_transition_report(data, tol=1e-9):
             where = ((k, i), tuple(int(x) for x in
                                    np.unravel_index(np.argmax(dev), dev.shape)))
     return worst, worst <= tol, where
+
+
+def matvec(matrix, vec):
+    return [sum(a * b for a, b in zip(row, vec)) for row in matrix]
+
+
+def kernel_basis(snf):
+    """Basis of the integer kernel lattice of A: the columns of T past the
+    rank, from one read of the dense T."""
+    t = snf.t
+    return [[row[j] for row in t] for j in range(snf.rank, snf.ncols)]
+
+
+def reference_smith_form(matrix, ncols=None):
+    """The dense Smith elimination with explicit transforms: (diag, S, S^-1,
+    T) with D = S A T.  Every row operation updates S and S^-1 and every
+    column operation T, and each pivot other than +-1 is checked against
+    the whole submatrix left.  ``snf.smith_normal_form`` performs the same
+    operations, so its dense views must equal these entry for entry."""
+    m = [list(map(int, row)) for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else (ncols or 0)
+    s = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    s_inv = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    t = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        s[i], s[j] = s[j], s[i]
+        for r in range(nrows):
+            s_inv[r][i], s_inv[r][j] = s_inv[r][j], s_inv[r][i]
+
+    def col_swap(i, j):
+        for r in range(nrows):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        for r in range(ncols):
+            t[r][i], t[r][j] = t[r][j], t[r][i]
+
+    def row_addmul(i, j, q):
+        for c in range(ncols):
+            m[i][c] += q * m[j][c]
+        for c in range(nrows):
+            s[i][c] += q * s[j][c]
+        for r in range(nrows):
+            s_inv[r][j] -= q * s_inv[r][i]
+
+    def col_addmul(j, i, q):
+        for r in range(nrows):
+            m[r][j] += q * m[r][i]
+        for r in range(ncols):
+            t[r][j] += q * t[r][i]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        s[i] = [-x for x in s[i]]
+        for r in range(nrows):
+            s_inv[r][i] = -s_inv[r][i]
+
+    def find_pivot(k):
+        best = None
+        for i in range(k, nrows):
+            for j in range(k, ncols):
+                v = m[i][j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        return best
+
+    k = 0
+    while k < min(nrows, ncols):
+        best = find_pivot(k)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != k:
+            row_swap(k, pi)
+        if pj != k:
+            col_swap(k, pj)
+        while True:
+            changed = False
+            for i in range(k + 1, nrows):
+                if m[i][k]:
+                    row_addmul(i, k, -(m[i][k] // m[k][k]))
+                    if m[i][k]:
+                        row_swap(k, i)
+                        changed = True
+            for j in range(k + 1, ncols):
+                if m[k][j]:
+                    col_addmul(j, k, -(m[k][j] // m[k][k]))
+                    if m[k][j]:
+                        col_swap(k, j)
+                        changed = True
+            if not changed:
+                break
+        d = m[k][k]
+        offender = None
+        if abs(d) != 1:
+            offender = next((i for i in range(k + 1, nrows)
+                             if any(m[i][j] % d for j in range(k + 1, ncols))), None)
+        if offender is not None:
+            row_addmul(k, offender, 1)
+            continue
+        if d < 0:
+            negate_row(k)
+        k += 1
+    return [m[i][i] for i in range(k)], s, s_inv, t

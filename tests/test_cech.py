@@ -15,9 +15,8 @@ from gerbelab.coeffs import CoefficientGroup
 from gerbelab.errors import (DegreeOverflow, LiftNotIntegral, NotACocycle,
                              NotU1Cocycle, UnsupportedCoefficient)
 from gerbelab.nerve import build_nerve, random_nerve
-from gerbelab.snf import kernel_basis
 from oracles import (act, coboundary_matrix, coeff_eq, face_by_face_coboundary,
-                     integer_cohomology, kunneth, loop_class_order,
+                     integer_cohomology, kernel_basis, kunneth, loop_class_order,
                      mod2_cohomology_dim, modp_cohomology_dim, standard_corpus)
 
 Z = CoefficientGroup.integers()
@@ -33,7 +32,7 @@ def random_twist(nerve, rng):
     nrows = len(rows)
     for i, row in enumerate(rows):
         row.extend(2 if j == i else 0 for j in range(nrows))
-    basis = _snf.kernel_basis(_snf.smith_normal_form(
+    basis = kernel_basis(_snf.smith_normal_form(
         rows, ncols=nerve.count(1) + nrows))
     signs = [0] * nerve.count(1)
     for vec in basis:
@@ -458,7 +457,7 @@ def test_real_coefficients_roundtrip_and_certificate():
             if not sys_.nerve.count(k):
                 continue
             d = twisted_delta(sys_, k - 1)
-            kernel = _snf.kernel_basis(_snf.smith_normal_form(
+            kernel = kernel_basis(_snf.smith_normal_form(
                 twisted_delta(sys_, k).tolist(), ncols=sys_.nerve.count(k)))
             for trial in range(7):
                 z = coboundary(random_cochain(sys_, k - 1, rng), sys_)

@@ -90,7 +90,7 @@ COHOMOLOGY = ["cohomology", S + "system_rp2_mod2.yaml", "--degree", "2"]
      EXACT_LAYERS | {"yaml", "io", "connection", "json"}),
     (["schwinger", *LOOPS, "--mode", "trace"], {"schwinger", "io"},
      EXACT_LAYERS | {"connection", "json"}),
-    (["chern", S + "bundle_sphere_degree1.yaml", "--grid", "40"],
+    (["chern", S + "bundle_sphere_degree1.yaml", "--grid", "100"],  # the coarsest PASS
      {"connection", "io"}, EXACT_LAYERS | {"schwinger", "json"}),
     (COHOMOLOGY, {"cech", "coeffs"},
      {"numpy", "lifting", "models", "schwinger", "connection", "json"}),

@@ -560,9 +560,13 @@ def test_cli_schwinger_truncation_exit_3():
 
 
 def test_cli_schwinger_truncation_override():
+    """--allow-truncated runs the truncated trace and prints its report;
+    the trace then misses the residue, a FAIL verdict (exit 3)."""
     proc = run_cli("schwinger", "--mode", "trace", "--random", "2,4",
                    "--seed", "0", "--truncation", "2", "--allow-truncated")
-    assert proc.returncode == 0
+    assert proc.returncode == 3
+    assert "trace-K2: " in proc.stdout and "verdict: FAIL" in proc.stdout
+    assert proc.stderr == "invariant violation: schwinger-trace: verdict FAIL\n"
 
 
 @pytest.mark.parametrize("mode", ["trace", "curvature"])
@@ -638,6 +642,35 @@ def test_cli_chern(tmp_path):
     assert "verdict: PASS" in proc.stdout
 
 
+@pytest.mark.parametrize("machine", [[], ["--machine-readable"]])
+def test_cli_chern_fail_verdict_exits_3(tmp_path, capsys, machine):
+    """A FAIL verdict prints the whole report, then exits 3."""
+    path = tmp_path / "bundle.yaml"
+    path.write_text("kind: bundle\nformat: v1\nmodel: two-chart-sphere\n"
+                    "clutching: 10\nresolution: 32\n")
+    assert cli.main(machine + ["chern", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert ("verdict: FAIL" in captured.out if not machine
+            else '"verdict": "FAIL"' in captured.out)
+    assert captured.err == "invariant violation: chern: verdict FAIL\n"
+
+
+@pytest.mark.parametrize("mode, name", [("trace", "schwinger_residue"),
+                                        ("identity", "cocycle_identity_defect"),
+                                        ("jacobi", "jacobi_defect")])
+def test_cli_schwinger_fail_verdict_exits_3(monkeypatch, capsys, mode, name):
+    """Every schwinger verdict goes through the one exit rule: a defect
+    forced to 1 prints FAIL and exits 3."""
+    from gerbelab import schwinger
+    original = getattr(schwinger, name)
+    monkeypatch.setattr(schwinger, name, lambda *a: original(*a) + 1.0)
+    code = cli.main(["schwinger", "--mode", mode, "--random", "2,2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "verdict: FAIL" in captured.out
+    assert captured.err == f"invariant violation: schwinger-{mode}: verdict FAIL\n"
+
+
 def test_cli_chern_corrupted_exits_3(tmp_path):
     path = tmp_path / "bundle.yaml"
     path.write_text("kind: bundle\nformat: v1\nmodel: two-chart-sphere\n"
@@ -662,14 +695,16 @@ def report_lines(capsys):
 @pytest.mark.parametrize("grid", [None, "60"])
 def test_cli_chern_corruption_stays_on_the_named_grid(tmp_path, capsys, grid):
     """A corruption small enough to pass the cocycle check changes the
-    named grid only: the coarse grid's gauge residual is the clean one's."""
+    named grid only: the coarse grid's gauge residual is the clean one's.
+    Both grids are too coarse for a PASS (deviation above 1e-3), so each
+    full report is printed before exit 3."""
     option = [] if grid is None else ["--grid", grid]
     clean = write_bundle(tmp_path / "clean.yaml")
     dirty = write_bundle(tmp_path / "dirty.yaml", "corruption: {chart: 0, other: 1, "
                          "index: [10, 30], factor: 1.0000001}\n")
-    assert cli.main(["chern", clean, *option]) == 0
+    assert cli.main(["chern", clean, *option]) == 3
     want = report_lines(capsys)
-    assert cli.main(["chern", dirty, *option]) == 0
+    assert cli.main(["chern", dirty, *option]) == 3
     got = report_lines(capsys)
     res = 40 if grid is None else 60
     assert got[f"gauge-residual-{res // 2}"] == want[f"gauge-residual-{res // 2}"]
@@ -695,8 +730,9 @@ def test_cli_chern_frees_the_coarse_bundle_before_the_fine_forms(monkeypatch, ca
 
     monkeypatch.setattr(connection, "two_chart_sphere", tracked)
     monkeypatch.setattr(connection, "chart_forms", spy)
+    # grid 40 misses the integer by 0.0044, a FAIL verdict (exit 3)
     assert cli.main(["chern", str(SAMPLES / "bundle_sphere_degree1.yaml"),
-                     "--grid", "40"]) == 0
+                     "--grid", "40"]) == 3
     assert "nearest-integer: 1" in capsys.readouterr().out
     # built: the fine bundle, then the coarse one; chart_forms runs twice
     # inside the coarse gauge residual and twice for the fine grid

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerbelab import snf as snf_module
 from gerbelab.cech import TwistedLocalSystem
 from gerbelab.coeffs import CoefficientGroup
-from gerbelab.models import rp2_nerve
-from gerbelab.snf import (SparseSmithForm, kernel_basis, matvec,
-                          smith_normal_form, smith_normal_form_mod, solve)
-from oracles import integer_invariants
+from gerbelab.models import rp2_cross_circle, rp2_nerve
+from gerbelab.snf import (SparseSmithForm, smith_normal_form, smith_normal_form_mod,
+                          solve)
+from oracles import integer_invariants, kernel_basis, matvec, reference_smith_form
 
 
 def exact_det(matrix):
@@ -56,6 +57,32 @@ def check_form(matrix, ncols=None):
         assert snf.diag[i + 1] % snf.diag[i] == 0
         assert snf.diag[i] > 0
     return snf
+
+
+
+def check_reference(matrix, ncols, seed=0):
+    """smith_normal_form against the reference elimination with explicit
+    transforms: D, S, S^-1 and T equal entry for entry, and apply_s,
+    row_of_s, apply_s_inv and apply_t equal the products with the dense
+    transforms on unit and random vectors."""
+    form = smith_normal_form(matrix, ncols=ncols)
+    diag, s, s_inv, t = reference_smith_form(matrix, ncols=ncols)
+    assert form.diag == diag
+    assert form.s == s
+    assert form.s_inv == s_inv
+    assert form.t == t
+    rng = np.random.default_rng(seed)
+    nrows = len(matrix)
+    for k in range(nrows):
+        assert form.row_of_s(k) == s[k]
+    vectors = [[int(i == k) for i in range(nrows)] for k in range(nrows)]
+    for b in vectors + [rng.integers(-9, 10, nrows).tolist() for _ in range(3)]:
+        assert form.apply_s(b) == matvec(s, b)
+        assert form.apply_s_inv(b) == matvec(s_inv, b)
+    vectors = [[int(i == k) for i in range(ncols)] for k in range(ncols)]
+    for y in vectors + [rng.integers(-9, 10, ncols).tolist() for _ in range(3)]:
+        assert form.apply_t(y) == matvec(t, y)
+    return form
 
 
 CASES = [
@@ -154,6 +181,7 @@ def test_random_matrices_match_sympy(matrix, scale, seed):
     # scale > 1 leaves no unit entry, so SparseSmithForm runs its dense block
     matrix = [[scale * x for x in row] for row in matrix]
     snf = check_form(matrix, ncols=4)
+    check_reference(matrix, 4, seed)
     rank, torsion = integer_invariants(np.array(matrix))
     assert snf.rank == rank
     assert [d for d in snf.diag if d > 1] == torsion
@@ -237,3 +265,80 @@ def test_smith_form_mod_n_solves_and_spans_kernel(nrows, ncols, n, seed):
         assert all(sum(f * a for f, a in zip(fun, col)) % mod == 0
                    for col in zip(*matrix))
         assert sum(f * v for f, v in zip(fun, b)) % mod == val != 0
+
+
+DIAGONAL = [[[2, 0], [0, 3]], [[2, 0, 0], [0, 2, 0], [0, 0, 4]], [[3, 0], [0, 2]],
+            [[-2, 0, 0], [0, -2, 0], [0, 0, 4]], [[4, 0, 0], [0, 2, 0], [0, 0, 2]],
+            [[2, 0, 0], [0, 4, 0], [0, 0, 6]]]
+
+
+@pytest.mark.parametrize("matrix", CASES + DIAGONAL + [RP2_D1])
+@pytest.mark.parametrize("scale", [1, 2, 3])
+def test_fixed_cases_match_reference(matrix, scale):
+    """On diag(2, 3) and diag(2, 2, 4) a pivot equals the floor without
+    dividing the rest, or divides it only as a multiple of the floor, so a
+    wrong skip of the divisibility scan shows in D."""
+    matrix = [[scale * x for x in row] for row in matrix]
+    form = check_reference(matrix, len(matrix[0]))
+    assert all(b % a == 0 for a, b in zip(form.diag, form.diag[1:]))
+
+
+@given(st.lists(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3]),
+                         min_size=5, max_size=5), min_size=1, max_size=6),
+       st.sampled_from([2, 3, 4, 6]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_mod_n_forms_match_reference(matrix, n, seed):
+    """The dense [A | nI] of a random sparse A, as the solve mod n reads it."""
+    form = smith_normal_form_mod(sparse(matrix), n, 5)
+    dense = [row + [n * (i == j) for j in range(len(matrix))]
+             for i, row in enumerate(matrix)]
+    assert (form.diag, form.s, form.s_inv, form.t) == reference_smith_form(dense)
+    check_reference(dense, len(dense[0]), seed)
+
+
+@given(st.lists(st.lists(st.sampled_from([-2, 0, 2]), min_size=3, max_size=3),
+                min_size=1, max_size=2),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from([-1, 1])),
+                min_size=4, max_size=12),
+       st.sampled_from([1, 2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_tall_repeated_rows_match_reference(base, picks, scale):
+    """Tall blocks without a unit: repeated +-2 rows, which leave many
+    pivots equal to the floor."""
+    matrix = [[scale * sign * x for x in base[i % len(base)]] for i, sign in picks]
+    check_reference(matrix, 3)
+
+
+def test_dense_mod_two_form_of_rp2_cross_circle_matches_reference():
+    """The [d_1 | 2I] of RP^2 x S^1 that the lifting obstruction solves
+    against: 180 x 288, with every recorded row operation replayed."""
+    nerve = rp2_cross_circle()
+    rows = TwistedLocalSystem(nerve, CoefficientGroup.integers_mod(2)).delta_matrix(1)
+    form = smith_normal_form_mod(rows, 2, nerve.count(1))
+    dense = [[row.get(j, 0) for j in range(nerve.count(1))]
+             + [2 * (i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
+    diag, s, s_inv, t = reference_smith_form(dense)
+    assert (form.diag, form.s, form.s_inv, form.t) == (diag, s, s_inv, t)
+    b = np.random.default_rng(3).integers(0, 2, len(rows)).tolist()
+    assert form.apply_s(b) == matvec(s, b)
+    assert form.apply_s_inv(b) == matvec(s_inv, b)
+    y = np.random.default_rng(4).integers(-2, 3, form.ncols).tolist()
+    assert form.apply_t(y) == matvec(t, y)
+
+
+def test_pivot_equal_to_the_floor_skips_the_divisibility_scan(monkeypatch):
+    """Only a pivot whose absolute value differs from the floor is checked
+    against the rest of the submatrix: on diag(-2, -2, 4) that is the first
+    and the last pivot, and never the second, whose -2 equals the floor 2
+    in absolute value."""
+    scanned = []
+    scan = snf_module._first_offender
+
+    def spy(m, k, d):
+        scanned.append(k)
+        return scan(m, k, d)
+
+    monkeypatch.setattr(snf_module, "_first_offender", spy)
+    form = smith_normal_form([[-2, 0, 0], [0, -2, 0], [0, 0, 4]])
+    assert form.diag == [2, 2, 4]
+    assert scanned == [0, 2]
